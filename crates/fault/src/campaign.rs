@@ -92,9 +92,9 @@ pub struct GoldenRun {
     /// floor a simulated watchdog timeout must clear to stay silent on
     /// the fault-free run.
     pub max_write_gap: u64,
-    /// Cumulative cycle count after each `step()` call, for locating the
+    /// The cycle at which each `step()` call ended, for locating the
     /// last instruction boundary strictly before an injection instant.
-    step_cycles: Vec<u64>,
+    step_ends: StepEnds,
     /// Per-net cycle of the last golden read (`None` = never read),
     /// indexed by raw net id.
     net_last_read: Vec<Option<u64>>,
@@ -111,10 +111,10 @@ impl GoldenRun {
         let mut cpu = Leon3::new(config.clone());
         cpu.enable_read_tracking();
         cpu.load(program);
-        let mut step_cycles = Vec::new();
+        let mut step_ends = StepEnds::default();
         let exit_code = loop {
             let event = cpu.step();
-            step_cycles.push(cpu.cycles());
+            step_ends.push(cpu.cycles());
             if event == StepEvent::Stopped {
                 match cpu.exit() {
                     Some(Exit::Halted(code)) => break code,
@@ -138,7 +138,7 @@ impl GoldenRun {
             cycles: cpu.cycles(),
             exit_code,
             max_write_gap,
-            step_cycles,
+            step_ends,
             net_last_read,
         }
     }
@@ -147,7 +147,7 @@ impl GoldenRun {
     /// `injection_cycle` — the longest fault-free prefix every job of a
     /// campaign injecting at that instant can share.
     pub fn prefix_steps(&self, injection_cycle: u64) -> usize {
-        self.step_cycles.partition_point(|&c| c < injection_cycle)
+        self.step_ends.count_before(injection_cycle)
     }
 
     /// Cycle count after `steps` completed `step()` calls (0 at reset).
@@ -157,7 +157,7 @@ impl GoldenRun {
         if steps == 0 {
             0
         } else {
-            self.step_cycles[steps - 1]
+            self.step_ends.end_of(steps)
         }
     }
 
@@ -174,6 +174,72 @@ impl GoldenRun {
             .copied()
             .flatten()
             .is_some_and(|last| last >= cycle)
+    }
+}
+
+/// The cycles at which a run's `step()` calls ended, as one bit per cycle
+/// plus a running count per 64-cycle word. Every step takes at least one
+/// cycle, so no two steps end on the same cycle. A run of `c` cycles costs
+/// `c / 4` bytes, against eight bytes per step for a list of end cycles,
+/// which would be most of a cached golden run's memory.
+#[derive(Debug, Clone, Default)]
+struct StepEnds {
+    /// Bit `c % 64` of word `c / 64` is set when a step ended at cycle `c`.
+    words: Vec<u64>,
+    /// How many steps ended in the words before each word.
+    before: Vec<usize>,
+}
+
+impl StepEnds {
+    /// Record a step that ended at `cycle`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `cycle` is later than every end recorded so far.
+    fn push(&mut self, cycle: u64) {
+        let word = usize::try_from(cycle / 64).expect("run length fits in memory");
+        while self.words.len() <= word {
+            self.before.push(self.len());
+            self.words.push(0);
+        }
+        let bit = 1u64 << (cycle % 64);
+        assert!(self.words[word] < bit, "step ends must increase");
+        self.words[word] |= bit;
+    }
+
+    /// Number of recorded steps.
+    fn len(&self) -> usize {
+        match (self.before.last(), self.words.last()) {
+            (Some(&before), Some(&bits)) => before + bits.count_ones() as usize,
+            _ => 0,
+        }
+    }
+
+    /// How many steps ended strictly before `cycle`.
+    fn count_before(&self, cycle: u64) -> usize {
+        let word = usize::try_from(cycle / 64).unwrap_or(usize::MAX);
+        match self.words.get(word) {
+            Some(&bits) => {
+                self.before[word] + (bits & ((1u64 << (cycle % 64)) - 1)).count_ones() as usize
+            }
+            None => self.len(),
+        }
+    }
+
+    /// The cycle at which step `n` (counting from 1) ended.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `1 <= n <= self.len()`.
+    fn end_of(&self, n: usize) -> u64 {
+        assert!((1..=self.len()).contains(&n), "step {n} was not recorded");
+        // The last word with fewer than `n` earlier ends holds end `n`.
+        let word = self.before.partition_point(|&before| before < n) - 1;
+        let mut bits = self.words[word];
+        for _ in 0..n - 1 - self.before[word] {
+            bits &= bits - 1;
+        }
+        word as u64 * 64 + u64::from(bits.trailing_zeros())
     }
 }
 
@@ -2086,15 +2152,33 @@ mod tests {
         let golden = GoldenRun::capture(&small_program(), &Leon3Config::default());
         assert_eq!(golden.writes.len(), 10);
         assert!(golden.instructions > 30);
-        // One step-cycle entry per step() call, monotonically increasing,
-        // ending at the golden cycle count.
-        assert!(golden.step_cycles.windows(2).all(|w| w[0] < w[1]));
-        assert_eq!(golden.step_cycles.last().copied(), Some(golden.cycles));
+        // One step end per step() call, increasing, the last at the
+        // golden cycle count.
+        let steps = golden.prefix_steps(golden.cycles + 1);
+        let ends: Vec<u64> = (1..=steps).map(|n| golden.cycle_at_step(n)).collect();
+        assert!(ends.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(ends.last().copied(), Some(golden.cycles));
         assert_eq!(golden.prefix_steps(0), 0);
-        assert_eq!(
-            golden.prefix_steps(golden.cycles + 1),
-            golden.step_cycles.len()
-        );
+        assert_eq!(golden.prefix_steps(golden.cycles), steps - 1);
+    }
+
+    #[test]
+    fn step_ends_match_a_list_of_end_cycles() {
+        // Several ends per word, words with no end, an end on a word's
+        // last bit and on the next word's first.
+        let list = [1, 2, 3, 63, 64, 70, 200, 201, 263, 264, 1000];
+        let mut ends = StepEnds::default();
+        for &cycle in &list {
+            ends.push(cycle);
+        }
+        assert_eq!(ends.len(), list.len());
+        for cycle in 0..1100 {
+            let expected = list.partition_point(|&c| c < cycle);
+            assert_eq!(ends.count_before(cycle), expected, "cycle {cycle}");
+        }
+        for (n, &cycle) in list.iter().enumerate() {
+            assert_eq!(ends.end_of(n + 1), cycle, "step {}", n + 1);
+        }
     }
 
     #[test]

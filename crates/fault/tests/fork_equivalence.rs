@@ -3,7 +3,8 @@
 //! workloads and across both injection domains — while simulating
 //! measurably fewer cycles.
 
-use fault_inject::{Campaign, Execution, Target};
+use fault_inject::{fault_sites, Campaign, Execution, FaultOutcome, Target};
+use leon3_model::{Leon3, Leon3Config};
 use rtl_sim::FaultKind;
 use workloads::{Benchmark, Params};
 
@@ -87,4 +88,42 @@ fn pair_campaigns_are_equivalent_too() {
         .run_pairs(4);
     assert_eq!(fork.records(), full.records());
     assert!(fork.stats().cycles_simulated < full.stats().cycles_simulated);
+}
+
+#[test]
+fn faulted_store_bus_address_is_a_bus_error_not_a_panic() {
+    // A stuck bit on the cache's bus address can carry a store that the
+    // memory stage validated outside RAM or off alignment. The model must
+    // treat it as a bus error (the write still leaves the core at the
+    // corrupted address), never panic into an engine anomaly.
+    let reference = Leon3::new(Leon3Config::default());
+    let sites: Vec<_> = fault_sites(&reference, Target::CacheMemory)
+        .into_iter()
+        .filter(|site| reference.pool().meta(site.net).name == "cmem.bus.addr")
+        .collect();
+    assert_eq!(sites.len(), 32);
+    let campaign = Campaign::new(
+        Benchmark::Rspeed.program(&Params::default()),
+        Target::CacheMemory,
+    )
+    .with_sites(sites)
+    .with_kinds(&[
+        FaultKind::StuckAt0,
+        FaultKind::StuckAt1,
+        FaultKind::OpenLine,
+    ])
+    .with_injection_fraction(0.3);
+    let fork = campaign.run(2);
+    let anomalies: Vec<_> = fork
+        .records()
+        .iter()
+        .filter(|r| matches!(r.outcome, FaultOutcome::EngineAnomaly { .. }))
+        .collect();
+    assert!(anomalies.is_empty(), "engine anomalies: {anomalies:?}");
+    assert!(fork
+        .records()
+        .iter()
+        .any(|r| matches!(r.outcome, FaultOutcome::Failure { .. })));
+    let full = campaign.with_execution(Execution::FullReexecution).run(2);
+    assert_eq!(fork.records(), full.records());
 }

@@ -34,7 +34,7 @@ impl CacheStats {
 }
 
 /// Execution counters for one run.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunStats {
     /// Executed (non-annulled) instructions.
     pub instructions: u64,
@@ -48,10 +48,22 @@ pub struct RunStats {
     /// Executed instructions processed by the integer unit — every
     /// non-annulled instruction (the paper's "Integer Unit" row).
     pub iu_instructions: u64,
-    /// How many times each opcode was executed.
-    pub opcode_histogram: BTreeMap<Opcode, u64>,
-    /// How many instruction executions touched each functional unit.
-    pub unit_accesses: BTreeMap<Unit, u64>,
+    /// How many times each opcode was executed, indexed by
+    /// [`Opcode::index`].
+    opcode_counts: [u64; Opcode::COUNT],
+}
+
+impl Default for RunStats {
+    fn default() -> Self {
+        RunStats {
+            instructions: 0,
+            annulled: 0,
+            traps: 0,
+            memory_instructions: 0,
+            iu_instructions: 0,
+            opcode_counts: [0; Opcode::COUNT],
+        }
+    }
 }
 
 impl RunStats {
@@ -62,10 +74,29 @@ impl RunStats {
         if instr.op.accesses_memory() {
             self.memory_instructions += 1;
         }
-        *self.opcode_histogram.entry(instr.op).or_insert(0) += 1;
-        for unit in instr.op.units().iter() {
-            *self.unit_accesses.entry(unit).or_insert(0) += 1;
-        }
+        self.opcode_counts[instr.op.index()] += 1;
+    }
+
+    /// Executed opcodes with their counts, in [`Opcode::ALL`] order.
+    fn executed(&self) -> impl Iterator<Item = (Opcode, u64)> + '_ {
+        Opcode::ALL
+            .iter()
+            .zip(&self.opcode_counts)
+            .filter(|&(_, &count)| count > 0)
+            .map(|(&op, &count)| (op, count))
+    }
+
+    /// How many times each executed opcode was executed.
+    pub fn opcode_histogram(&self) -> BTreeMap<Opcode, u64> {
+        self.executed().collect()
+    }
+
+    /// How many instruction executions touched `unit`.
+    pub fn unit_accesses(&self, unit: Unit) -> u64 {
+        self.executed()
+            .filter(|(op, _)| op.units().contains(unit))
+            .map(|(_, count)| count)
+            .sum()
     }
 
     /// Instruction diversity: the number of unique opcodes executed.
@@ -74,21 +105,20 @@ impl RunStats {
     /// for permanent faults, diversity (not instruction count, order or
     /// input data) determines the fault-to-failure probability.
     pub fn diversity(&self) -> usize {
-        self.opcode_histogram.len()
+        self.executed().count()
     }
 
     /// Per-unit diversity `D_m`: unique opcodes whose unit-usage set
     /// contains `unit`.
     pub fn unit_diversity(&self, unit: Unit) -> usize {
-        self.opcode_histogram
-            .keys()
-            .filter(|op| op.units().contains(unit))
+        self.executed()
+            .filter(|(op, _)| op.units().contains(unit))
             .count()
     }
 
     /// The set of opcodes executed, in a stable order.
     pub fn executed_opcodes(&self) -> impl Iterator<Item = Opcode> + '_ {
-        self.opcode_histogram.keys().copied()
+        self.executed().map(|(op, _)| op)
     }
 
     /// The opcode histogram keyed by mnemonic, sorted by mnemonic — the
@@ -96,9 +126,8 @@ impl RunStats {
     /// travels as names, not as this workspace's enum ordinals.
     pub fn named_histogram(&self) -> Vec<(&'static str, u64)> {
         let mut entries: Vec<(&'static str, u64)> = self
-            .opcode_histogram
-            .iter()
-            .map(|(op, &count)| (op.mnemonic(), count))
+            .executed()
+            .map(|(op, count)| (op.mnemonic(), count))
             .collect();
         entries.sort_unstable();
         entries
@@ -164,8 +193,34 @@ mod tests {
         let mut stats = RunStats::default();
         stats.record(&alu(Opcode::Add));
         stats.record(&alu(Opcode::Add));
-        assert_eq!(stats.unit_accesses[&Unit::AluAdd], 2);
-        assert_eq!(stats.unit_accesses[&Unit::Fetch], 2);
+        assert_eq!(stats.unit_accesses(Unit::AluAdd), 2);
+        assert_eq!(stats.unit_accesses(Unit::Fetch), 2);
+        assert_eq!(stats.unit_accesses(Unit::Shift), 0);
+    }
+
+    #[test]
+    fn unit_accesses_match_per_instruction_accumulation() {
+        // Every opcode once, opcode `i` repeated `i % 5` more times: the
+        // computed counts must equal a per-instruction tally of each
+        // executed opcode's units.
+        let mut stats = RunStats::default();
+        let mut tally: BTreeMap<Unit, u64> = BTreeMap::new();
+        for (i, &op) in Opcode::ALL.iter().enumerate() {
+            for _ in 0..=i % 5 {
+                stats.record(&alu(op));
+                for unit in op.units().iter() {
+                    *tally.entry(unit).or_insert(0) += 1;
+                }
+            }
+        }
+        for unit in Unit::ALL {
+            assert_eq!(
+                stats.unit_accesses(unit),
+                tally.get(&unit).copied().unwrap_or(0),
+                "{unit}"
+            );
+        }
+        assert_eq!(stats.diversity(), Opcode::COUNT);
     }
 
     #[test]

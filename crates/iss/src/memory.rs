@@ -3,9 +3,34 @@
 use sparc_asm::Program;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 const PAGE_SHIFT: u32 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
+
+/// Hashes a page number with one multiply by an odd constant, so
+/// consecutive pages land in distinct buckets. Every fetch looks a page
+/// up, and SipHash's resistance to crafted keys buys nothing here: the
+/// keys are page numbers inside the RAM window, so at most
+/// `size >> PAGE_SHIFT` of them exist.
+#[derive(Debug, Default)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u32(u32::from(byte));
+        }
+    }
+
+    fn write_u32(&mut self, page: u32) {
+        self.0 = (self.0 ^ u64::from(page)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
 
 /// A memory access error, reported to the core as a data/instruction access
 /// trap.
@@ -44,7 +69,7 @@ impl std::error::Error for MemError {}
 /// only what the workload touches.
 #[derive(Debug, Clone)]
 pub struct Memory {
-    pages: HashMap<u32, Box<[u8; PAGE_SIZE]>>,
+    pages: HashMap<u32, Box<[u8; PAGE_SIZE]>, BuildHasherDefault<PageHasher>>,
     base: u32,
     size: u32,
 }
@@ -53,7 +78,7 @@ impl Memory {
     /// Memory with the given RAM window (e.g. base `0x4000_0000`).
     pub fn new(base: u32, size: u32) -> Memory {
         Memory {
-            pages: HashMap::new(),
+            pages: HashMap::default(),
             base,
             size,
         }

@@ -44,6 +44,22 @@ impl CacheSpec {
     pub fn capacity(&self) -> usize {
         self.lines * self.line_bytes
     }
+
+    /// Whether both sizes are powers of two, as the shift-and-mask
+    /// indexing of [`CacheSpec::index_and_tag`] requires.
+    pub fn is_power_of_two(&self) -> bool {
+        self.lines.is_power_of_two() && self.line_bytes.is_power_of_two()
+    }
+
+    /// The line index and tag of `addr`, by shifts and masks (see
+    /// [`CacheSpec::is_power_of_two`]).
+    pub fn index_and_tag(&self, addr: u32) -> (usize, u32) {
+        let line = addr >> self.line_bytes.trailing_zeros();
+        (
+            line as usize & (self.lines - 1),
+            line >> self.lines.trailing_zeros(),
+        )
+    }
 }
 
 /// A direct-mapped tag store (no data — the ISS keeps data in [`crate::Memory`];
@@ -70,7 +86,7 @@ fn tag_parity(tag: u32) -> u8 {
 impl CacheModel {
     /// An empty (all-invalid) cache.
     pub fn new(spec: CacheSpec) -> CacheModel {
-        assert!(spec.lines.is_power_of_two() && spec.line_bytes.is_power_of_two());
+        assert!(spec.is_power_of_two());
         CacheModel {
             spec,
             tags: vec![None; spec.lines],
@@ -87,11 +103,6 @@ impl CacheModel {
         model
     }
 
-    fn index_and_tag(&self, addr: u32) -> (usize, u32) {
-        let line = addr as usize / self.spec.line_bytes;
-        (line % self.spec.lines, (line / self.spec.lines) as u32)
-    }
-
     fn parity_check(&mut self, index: usize, tag: u32) {
         if let Some(parity) = &self.parity {
             if parity[index] != tag_parity(tag) {
@@ -102,7 +113,7 @@ impl CacheModel {
 
     /// Look up `addr`, allocating on miss; returns `true` on hit.
     pub fn access(&mut self, addr: u32) -> bool {
-        let (index, tag) = self.index_and_tag(addr);
+        let (index, tag) = self.spec.index_and_tag(addr);
         if self.tags[index] == Some(tag) {
             self.parity_check(index, tag);
             self.stats.hits += 1;
@@ -120,7 +131,7 @@ impl CacheModel {
     /// Look up `addr` without allocating (write-through, no-write-allocate
     /// stores); returns `true` on hit.
     pub fn probe(&mut self, addr: u32) -> bool {
-        let (index, tag) = self.index_and_tag(addr);
+        let (index, tag) = self.spec.index_and_tag(addr);
         let hit = self.tags[index] == Some(tag);
         if hit {
             self.parity_check(index, tag);

@@ -48,9 +48,13 @@ impl Leon3 {
     }
 
     fn index_and_tag(&self, side: Side, addr: u32) -> (usize, u32) {
-        let spec = self.geometry(side);
-        let line = addr as usize / spec.line_bytes;
-        (line % spec.lines, ((line / spec.lines) as u32) & 0xf_ffff)
+        let (index, tag) = self.geometry(side).index_and_tag(addr);
+        (index, tag & 0xf_ffff)
+    }
+
+    /// The word of its line that `addr` falls in.
+    fn word_in_line(&self, side: Side, addr: u32) -> usize {
+        (addr as usize & (self.geometry(side).line_bytes - 1)) / 4
     }
 
     /// The line's parity net, when the parity mechanism is configured.
@@ -87,7 +91,7 @@ impl Leon3 {
     fn effective_index(&mut self, side: Side, index: usize) -> usize {
         let (_, index_net) = self.hit_and_index_nets(side);
         self.pool.write(index_net, index as u32);
-        self.pool.read(index_net) as usize % self.geometry(side).lines
+        self.pool.read(index_net) as usize & (self.geometry(side).lines - 1)
     }
 
     /// Look up `addr`; returns whether it hit (through the hit net, so
@@ -151,10 +155,9 @@ impl Leon3 {
     /// Read the cached word containing `addr` (must follow a hit or
     /// refill).
     fn cached_word(&mut self, side: Side, addr: u32) -> u32 {
-        let spec = self.geometry(side);
         let (index, _) = self.index_and_tag(side, addr);
         let index = self.effective_index(side, index);
-        let word = (addr as usize % spec.line_bytes) / 4;
+        let word = self.word_in_line(side, addr);
         let net = self.data_net(side, index, word);
         self.pool.read(net)
     }
@@ -185,12 +188,15 @@ impl Leon3 {
         self.pool.write(self.nets.bus_data, value);
         let bus_addr = self.pool.read(self.nets.bus_addr);
         let bus_value = self.pool.read(self.nets.bus_data);
-        match size {
+        // The memory stage validated `addr`, but a fault on the bus
+        // address net can carry the store outside RAM or off alignment.
+        // The bus then errors, as on a refill: memory keeps its contents,
+        // and the write still leaves the core at the corrupted address.
+        let _bus_error = match size {
             1 => self.mem.write_u8(bus_addr, bus_value as u8),
             2 => self.mem.write_u16(bus_addr, bus_value as u16),
             _ => self.mem.write_u32(bus_addr, bus_value),
-        }
-        .expect("store address validated in the memory stage");
+        };
         let at = self.pool.cycle();
         self.trace.push(BusEvent {
             at,
@@ -207,10 +213,9 @@ impl Leon3 {
             let shift = (3 - (addr as usize % 4) - (usize::from(size) - 1)) * 8;
             let mask = size_mask(size) << shift;
             let merged = (current & !mask) | ((bus_value & size_mask(size)) << shift);
-            let spec = self.geometry(Side::Data);
             let (index, _) = self.index_and_tag(Side::Data, word_addr);
             let index = self.effective_index(Side::Data, index);
-            let word = (word_addr as usize % spec.line_bytes) / 4;
+            let word = self.word_in_line(Side::Data, word_addr);
             let net = self.data_net(Side::Data, index, word);
             self.pool.write(net, merged);
             if let Some(pnet) = self.parity_net(Side::Data, index) {
@@ -218,7 +223,7 @@ impl Leon3 {
                 // the array read-back; the merged word uses the value just
                 // driven, so a stuck-at there still mismatches on the next
                 // lookup instead of being silently folded into the parity.
-                let words = spec.line_bytes / 4;
+                let words = self.geometry(Side::Data).line_bytes / 4;
                 let others = (0..words).filter(|&w| w != word).fold(0u32, |acc, w| {
                     acc ^ self.pool.read(self.data_net(Side::Data, index, w))
                 });

@@ -129,7 +129,16 @@ const _: fn() = || {
 
 impl Leon3 {
     /// A fresh model with nothing loaded.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a cache's line count or line size is not a power of two
+    /// (the cache paths index by shifts and masks).
     pub fn new(config: Leon3Config) -> Leon3 {
+        assert!(
+            config.icache.is_power_of_two() && config.dcache.is_power_of_two(),
+            "cache geometry must be a power of two"
+        );
         let mut pool = NetPool::new();
         let nets = NetMap::declare(&mut pool, config.icache, config.dcache, config.cmem_parity);
         let mut cpu = Leon3 {

@@ -282,6 +282,20 @@ impl ActiveFault {
         }
     }
 
+    /// The next cycle at which a clock tick changes this fault's state:
+    /// its activation, or the next flip of a burst train. Always later
+    /// than the pool's clock, because `NetPool::tick` and `NetPool::inject`
+    /// apply every event that has fallen due.
+    pub(crate) fn next_event(&self) -> Option<u64> {
+        match self.fault.kind {
+            _ if !self.active => Some(self.fault.from_cycle),
+            FaultKind::TransientBurst { flips, spacing } if self.flips_done < flips => {
+                Some(self.fault.from_cycle + u64::from(self.flips_done) * spacing)
+            }
+            _ => None,
+        }
+    }
+
     /// Apply the fault to a value read from the net at `cycle`.
     pub(crate) fn apply(&self, value: u32, cycle: u64) -> u32 {
         if !self.active {

@@ -36,6 +36,17 @@ pub struct NetMeta<T> {
     pub tag: T,
 }
 
+/// Which reads must leave the plain indexed load (see [`NetPool::read`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Overlay {
+    /// No fault, bridge, read tracker or event trace: every read is raw.
+    None,
+    /// Exactly one fault, on this net, and nothing else.
+    One(NetId),
+    /// Anything else: every read takes the general path.
+    Any,
+}
+
 /// A pool of named nets with values, plus the active fault overlay.
 ///
 /// Reads and writes are the *only* way data moves through an RTL model
@@ -45,11 +56,15 @@ pub struct NetMeta<T> {
 #[derive(Debug, Clone)]
 pub struct NetPool<T> {
     values: Vec<u32>,
+    /// Each net's width as a bit mask, beside `values` for the write path.
+    masks: Vec<u32>,
     meta: Vec<NetMeta<T>>,
     faults: Vec<ActiveFault>,
     bridges: Vec<(Bridge, bool)>,
-    /// Fast path: the single faulty net (campaigns inject exactly one).
-    fault_net: Option<NetId>,
+    /// What `read` must apply beyond the raw value. Every call that
+    /// changes `faults`, `bridges`, `last_read` or `events` recomputes it
+    /// through [`NetPool::refresh_overlay`].
+    overlay: Overlay,
     cycle: u64,
     /// When enabled, the cycle of the most recent [`NetPool::read`] per
     /// net (`NEVER_READ` if none). `Cell` because `read` takes `&self`.
@@ -97,10 +112,11 @@ impl<T> NetPool<T> {
     pub fn new() -> NetPool<T> {
         NetPool {
             values: Vec::new(),
+            masks: Vec::new(),
             meta: Vec::new(),
             faults: Vec::new(),
             bridges: Vec::new(),
-            fault_net: None,
+            overlay: Overlay::None,
             cycle: 0,
             last_read: None,
             events: None,
@@ -116,6 +132,7 @@ impl<T> NetPool<T> {
         assert!((1..=32).contains(&width), "net width {width} out of range");
         let id = NetId(self.values.len() as u32);
         self.values.push(0);
+        self.masks.push(u32::MAX >> (32 - width));
         self.meta.push(NetMeta {
             name: name.into(),
             width,
@@ -162,45 +179,41 @@ impl<T> NetPool<T> {
         self.cycle
     }
 
+    /// Read a net, with active faults and bridges applied.
+    ///
+    /// A plain indexed load unless the overlay names this net (or every
+    /// net): a campaign job's one fault costs the other nets' reads a
+    /// single compare.
     #[inline]
-    fn mask(&self, id: NetId) -> u32 {
-        let width = self.meta[id.0 as usize].width;
-        if width == 32 {
-            u32::MAX
-        } else {
-            (1 << width) - 1
+    pub fn read(&self, id: NetId) -> u32 {
+        match self.overlay {
+            Overlay::None => self.values[id.0 as usize],
+            Overlay::One(net) if net != id => self.values[id.0 as usize],
+            _ => self.read_overlaid(id),
         }
     }
 
-    /// Read a net, with active faults and bridges applied.
-    #[inline]
-    pub fn read(&self, id: NetId) -> u32 {
+    /// The general read: tracker, trace, faults and bridges.
+    #[inline(never)]
+    fn read_overlaid(&self, id: NetId) -> u32 {
         if let Some(track) = &self.last_read {
             track[id.0 as usize].set(self.cycle);
         }
         if let Some(trace) = &self.events {
             trace.borrow_mut().push(NetEvent::Read(id));
         }
-        let raw = self.values[id.0 as usize];
-        if self.fault_net == Some(id) || (!self.faults.is_empty() && self.net_has_fault(id)) {
-            let mut value = raw;
-            for f in &self.faults {
-                if f.fault.net == id {
-                    value = f.apply(value, self.cycle);
-                }
+        let mut value = self.values[id.0 as usize];
+        for f in &self.faults {
+            if f.fault.net == id {
+                value = f.apply(value, self.cycle);
             }
-            if !self.bridges.is_empty() {
-                value = self.apply_bridges(id, value);
-            }
-            value & self.mask(id)
-        } else if !self.bridges.is_empty() {
-            self.apply_bridges(id, raw) & self.mask(id)
-        } else {
-            raw
         }
+        if !self.bridges.is_empty() {
+            value = self.apply_bridges(id, value);
+        }
+        value & self.masks[id.0 as usize]
     }
 
-    #[inline]
     fn apply_bridges(&self, id: NetId, mut value: u32) -> u32 {
         for &(bridge, active) in &self.bridges {
             if !active {
@@ -218,9 +231,16 @@ impl<T> NetPool<T> {
         value
     }
 
-    #[inline]
-    fn net_has_fault(&self, id: NetId) -> bool {
-        self.faults.iter().any(|f| f.fault.net == id)
+    /// Recompute [`Overlay`] after a change to the faults, the bridges,
+    /// the read tracker or the event trace.
+    fn refresh_overlay(&mut self) {
+        let instrumented = self.last_read.is_some() || self.events.is_some();
+        self.overlay = match self.faults.as_slice() {
+            _ if instrumented || !self.bridges.is_empty() => Overlay::Any,
+            [] => Overlay::None,
+            [only] => Overlay::One(only.fault.net),
+            _ => Overlay::Any,
+        };
     }
 
     /// Write a net (the value is truncated to the net's width; faults are
@@ -232,7 +252,7 @@ impl<T> NetPool<T> {
         if let Some(trace) = &mut self.events {
             trace.get_mut().push(NetEvent::Write(id));
         }
-        self.values[id.0 as usize] = value & self.mask(id);
+        self.values[id.0 as usize] = value & self.masks[id.0 as usize];
     }
 
     /// Inject a fault.
@@ -254,11 +274,7 @@ impl<T> NetPool<T> {
             panic!("invalid fault parameters: {reason}");
         }
         self.faults.push(ActiveFault::new(fault));
-        self.fault_net = if self.faults.len() == 1 {
-            Some(fault.net)
-        } else {
-            None
-        };
+        self.refresh_overlay();
         // If the injection instant is already past, activate immediately.
         if self.cycle >= fault.from_cycle {
             let idx = self.faults.len() - 1;
@@ -283,8 +299,7 @@ impl<T> NetPool<T> {
         }
         let active = self.cycle >= bridge.from_cycle;
         self.bridges.push((bridge, active));
-        // Any bridge disables the single-fault fast path.
-        self.fault_net = None;
+        self.refresh_overlay();
     }
 
     /// Whether no fault or bridge is currently injected.
@@ -322,15 +337,17 @@ impl<T> NetPool<T> {
     }
 
     /// Start recording, per net, the cycle of its most recent read
-    /// (clearing any previous recording). Costs one predictable branch per
-    /// read, so it is only switched on for golden-reference runs.
+    /// (clearing any previous recording). Sends every read down the general
+    /// path, so it is only switched on for golden-reference runs.
     pub fn enable_read_tracking(&mut self) {
         self.last_read = Some(vec![Cell::new(NEVER_READ); self.values.len()]);
+        self.refresh_overlay();
     }
 
     /// Stop recording read cycles and drop the tracker.
     pub fn disable_read_tracking(&mut self) {
         self.last_read = None;
+        self.refresh_overlay();
     }
 
     /// Start recording every read and write in program order (clearing any
@@ -340,6 +357,7 @@ impl<T> NetPool<T> {
     /// access, so only switch it on for short extraction runs.
     pub fn enable_event_trace(&mut self) {
         self.events = Some(RefCell::new(Vec::new()));
+        self.refresh_overlay();
     }
 
     /// Take the recorded access trace, leaving tracing enabled with an
@@ -354,6 +372,7 @@ impl<T> NetPool<T> {
     /// Stop recording accesses and drop the trace.
     pub fn disable_event_trace(&mut self) {
         self.events = None;
+        self.refresh_overlay();
     }
 
     /// The cycle of the most recent read of `id`, or `None` if the net was
@@ -370,7 +389,7 @@ impl<T> NetPool<T> {
     pub fn clear_faults(&mut self) {
         self.faults.clear();
         self.bridges.clear();
-        self.fault_net = None;
+        self.refresh_overlay();
     }
 
     /// Reset all nets to zero, clear faults/bridges and return to cycle 0.
@@ -463,14 +482,22 @@ impl<T> NetPool<T> {
     }
 
     /// Advance the clock by `n` cycles at once (used by multi-cycle
-    /// operations like divide or cache refills).
+    /// operations like divide or cache refills). Nothing reads or writes
+    /// a net inside the batch, so the clock jumps straight to each cycle
+    /// at which a fault activates or a burst flip falls due and ticks only
+    /// there — in time order, which keeps an open line that captures a
+    /// bit another fault flips exactly as `n` single ticks would leave it.
     pub fn tick_many(&mut self, n: u64) {
-        if self.faults.is_empty() && self.bridges.is_empty() {
-            self.cycle += n;
-        } else {
-            for _ in 0..n {
-                self.tick();
-            }
+        let end = self.cycle + n;
+        while self.cycle < end {
+            let next = self
+                .faults
+                .iter()
+                .filter_map(ActiveFault::next_event)
+                .fold(end, u64::min);
+            debug_assert!(next > self.cycle, "a due fault event was not applied");
+            self.cycle = next - 1;
+            self.tick();
         }
     }
 }
@@ -936,6 +963,152 @@ mod tests {
         pool.disable_event_trace();
         pool.read(a);
         assert_eq!(pool.take_events(), vec![]);
+    }
+
+    #[test]
+    fn tracking_or_tracing_after_one_fault_sees_other_nets() {
+        for tracing in [false, true] {
+            let mut pool: NetPool<()> = NetPool::new();
+            let faulty = pool.net("faulty", 4, ());
+            let other = pool.net("other", 4, ());
+            pool.inject(Fault {
+                net: faulty,
+                bit: 0,
+                kind: FaultKind::StuckAt1,
+                from_cycle: 0,
+            });
+            if tracing {
+                pool.enable_event_trace();
+            } else {
+                pool.enable_read_tracking();
+            }
+            pool.tick_many(2);
+            pool.write(other, 6);
+            assert_eq!(pool.read(other), 6);
+            assert_eq!(pool.read(faulty), 1, "the fault still applies");
+            if tracing {
+                assert_eq!(
+                    pool.take_events(),
+                    vec![
+                        NetEvent::Write(other),
+                        NetEvent::Read(other),
+                        NetEvent::Read(faulty)
+                    ]
+                );
+            } else {
+                assert_eq!(pool.last_read_cycle(other), Some(2));
+            }
+            // Dropping the instrument leaves the single-fault overlay.
+            pool.disable_read_tracking();
+            pool.disable_event_trace();
+            assert_eq!((pool.read(faulty), pool.read(other)), (1, 6));
+        }
+    }
+
+    #[test]
+    fn bridge_over_one_fault_applies_both_until_cleared() {
+        let mut pool: NetPool<()> = NetPool::new();
+        let n = pool.net("n", 4, ());
+        let m = pool.net("m", 4, ());
+        pool.write(n, 0b0011);
+        let saved = pool.checkpoint();
+        let arm = |pool: &mut NetPool<()>| {
+            pool.inject(Fault {
+                net: n,
+                bit: 3,
+                kind: FaultKind::StuckAt1,
+                from_cycle: 0,
+            });
+            pool.inject_bridge(Bridge {
+                a: (n, 0),
+                b: (m, 0),
+                kind: crate::fault::BridgeKind::WiredOr,
+                from_cycle: 0,
+            });
+            // The stuck bit on `n`, and `n`'s bit 0 pulled onto `m`.
+            assert_eq!((pool.read(n), pool.read(m)), (0b1011, 0b0001));
+        };
+        arm(&mut pool);
+        pool.clear_faults();
+        assert_eq!((pool.read(n), pool.read(m)), (0b0011, 0));
+        arm(&mut pool);
+        pool.restore(&saved);
+        assert_eq!((pool.read(n), pool.read(m)), (0b0011, 0));
+        arm(&mut pool);
+        pool.reset();
+        assert_eq!((pool.read(n), pool.read(m)), (0, 0));
+    }
+
+    /// Drive `n` single ticks on one copy and one `tick_many(n)` on the
+    /// other, then compare every net's read and the clock.
+    fn assert_batch_matches_single_ticks(pool: &NetPool<()>, n: u64) {
+        let mut single = pool.clone();
+        let mut batched = pool.clone();
+        for _ in 0..n {
+            single.tick();
+        }
+        batched.tick_many(n);
+        assert_eq!(batched.cycle(), single.cycle());
+        for (id, _) in pool.iter() {
+            assert_eq!(batched.read(id), single.read(id), "{}", pool.meta(id).name);
+        }
+    }
+
+    #[test]
+    fn tick_many_matches_single_ticks() {
+        let kinds = [
+            FaultKind::OpenLine,
+            FaultKind::TransientFlip,
+            FaultKind::TransientBurst {
+                flips: 3,
+                spacing: 2,
+            },
+        ];
+        for kind in kinds {
+            for from_cycle in [0, 3, 4, 9] {
+                let mut pool: NetPool<()> = NetPool::new();
+                let n = pool.net("n", 4, ());
+                pool.write(n, 0b0101);
+                pool.tick();
+                pool.inject(Fault {
+                    net: n,
+                    bit: 2,
+                    kind,
+                    from_cycle,
+                });
+                for batch in [0, 1, 2, 5, 8] {
+                    assert_batch_matches_single_ticks(&pool, batch);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tick_many_orders_events_of_different_faults() {
+        // An open line that captures a bit after another fault flipped it
+        // must hold the flipped value, even when the two instants fall in
+        // one batch and the capture was injected first.
+        let mut pool: NetPool<()> = NetPool::new();
+        let n = pool.net("n", 1, ());
+        for (kind, from_cycle) in [
+            (FaultKind::OpenLine, 5),
+            (FaultKind::TransientFlip, 2),
+            (
+                FaultKind::TransientBurst {
+                    flips: 2,
+                    spacing: 4,
+                },
+                6,
+            ),
+        ] {
+            pool.inject(Fault {
+                net: n,
+                bit: 0,
+                kind,
+                from_cycle,
+            });
+        }
+        assert_batch_matches_single_ticks(&pool, 10);
     }
 
     #[test]

@@ -61,6 +61,9 @@ macro_rules! opcodes {
             /// All opcodes, in a fixed order (useful for histograms).
             pub const ALL: &'static [Opcode] = &[$(Opcode::$variant),+];
 
+            /// Number of opcodes.
+            pub const COUNT: usize = Opcode::ALL.len();
+
             /// The assembler mnemonic, e.g. `"add"` or `"bne"`.
             pub fn mnemonic(self) -> &'static str {
                 match self {
@@ -130,6 +133,12 @@ opcodes! {
 }
 
 impl Opcode {
+    /// This opcode's position in [`Opcode::ALL`], for dense per-opcode
+    /// tables.
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
     /// Whether this opcode is a `bicc` conditional branch.
     pub fn is_branch(self) -> bool {
         self.class() == OpClass::Branch
@@ -312,6 +321,13 @@ mod tests {
                 "duplicate mnemonic {}",
                 op.mnemonic()
             );
+        }
+    }
+
+    #[test]
+    fn index_is_position_in_all() {
+        for (i, &op) in Opcode::ALL.iter().enumerate() {
+            assert_eq!(op.index(), i, "{op:?}");
         }
     }
 

@@ -110,7 +110,7 @@ fn excerpt_subset_a_has_8_types() {
                 iss.stats().diversity(),
                 8,
                 "{bench}/{dataset}: {:?}",
-                iss.stats().opcode_histogram.keys().collect::<Vec<_>>()
+                iss.stats().executed_opcodes().collect::<Vec<_>>()
             );
         }
     }
@@ -132,7 +132,7 @@ fn excerpt_subset_b_has_11_types() {
                 iss.stats().diversity(),
                 11,
                 "{bench}/{dataset}: {:?}",
-                iss.stats().opcode_histogram.keys().collect::<Vec<_>>()
+                iss.stats().executed_opcodes().collect::<Vec<_>>()
             );
         }
     }
@@ -169,5 +169,5 @@ fn ttsprk_and_puwmod_share_diversity_for_temporal_study() {
         pw.diversity
     );
     // Different dynamic profiles (order/frequency differ).
-    assert_ne!(tt.stats.opcode_histogram, pw.stats.opcode_histogram);
+    assert_ne!(tt.stats.opcode_histogram(), pw.stats.opcode_histogram());
 }

@@ -44,8 +44,8 @@ fn lockstep(program: &Program, label: &str) {
         "{label}: instruction counts diverge"
     );
     assert_eq!(
-        iss.stats().opcode_histogram,
-        rtl.stats().opcode_histogram,
+        iss.stats().opcode_histogram(),
+        rtl.stats().opcode_histogram(),
         "{label}: opcode histograms diverge"
     );
 }
