@@ -5,13 +5,17 @@
 //! *pool* of [`leon3_model::Snapshot`] checkpoints along the way — one at
 //! the reset state, one at each requested injection boundary, and (with
 //! [`Campaign::with_checkpoint_stride`]) one every K cycles. Every
-//! (site, kind, instant) job restores the nearest ancestor checkpoint at
-//! or before its own injection boundary and replays only the fault-free
-//! gap before activation, so no campaign — single-instant, multi-instant
-//! or transient sweep — ever re-executes a prefix cycle twice, and no job
+//! (site, kind, instant) job is billed as restored from the nearest
+//! ancestor checkpoint at or before its own injection boundary, so no job
 //! ever falls back to full re-execution. A dense instant sweep thins its
 //! per-boundary checkpoints to a bounded pool (trading bounded replay for
-//! bounded memory). Two further cost levers ride on the same machinery:
+//! bounded memory). The jobs themselves ride a **golden-shadow sweep**:
+//! a fault acts only through reads, so each worker steps one golden run
+//! with every job's faults armed as shadow faults, and a job runs on a
+//! model of its own only from the sweep window in which its fault first
+//! changes a read (or, for a transient or burst fault, activates). Jobs
+//! still on the sweep when the golden run halts are `NoEffect` without a
+//! run of their own. Two further cost levers ride on the same machinery:
 //!
 //! * **site-activation tracking** — the golden run records, per net, the
 //!   cycle of its last read. A permanent fault is observable only through a
@@ -37,9 +41,10 @@
 //!   [`FaultOutcome::EngineAnomaly`] (payload preserved) and the campaign
 //!   continues, losing at most that one job;
 //! * **wall-clock watchdog** — [`Campaign::with_deadline`] bounds each job
-//!   by wall-clock time (cooperatively checked in the run loop) on top of
-//!   the architectural cycle budget; overruns classify as
-//!   [`FaultOutcome::Hang`] and are counted in `CampaignStats::timed_out`;
+//!   by wall-clock time (cooperatively checked in the run loop and at each
+//!   sweep window) on top of the architectural cycle budget; overruns
+//!   classify as [`FaultOutcome::Hang`] and are counted in
+//!   `CampaignStats::timed_out`;
 //! * **write-ahead result journal** — [`Campaign::run_journaled`] appends
 //!   one flushed JSONL line per completed job, and [`Campaign::resume`]
 //!   validates the journal header (workload hash, configuration
@@ -58,8 +63,8 @@ use crate::sites::{fault_sites, sample_sites, targeted_sites, AttackTarget, Faul
 use crate::static_analysis::{PrunedBy, StaticAnalysis};
 use crate::wire::kind_to_token;
 use analysis::SplitMix64;
-use leon3_model::{Leon3, Leon3Config, Snapshot};
-use rtl_sim::{Fault, FaultKind, NetId};
+use leon3_model::{Leon3, Leon3Config, Mark, Snapshot};
+use rtl_sim::{Fault, FaultKind, NetId, ShadowTable};
 use sparc_asm::Program;
 use sparc_iss::{BusEvent, Exit, StepEvent};
 use std::fmt::Write as _;
@@ -258,14 +263,18 @@ pub enum InjectionInstant {
 /// How a campaign executes its fault universe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Execution {
-    /// Checkpoint-tree fork: simulate the fault-free trajectory once,
-    /// dropping a pool of checkpoints (reset state, every requested
-    /// injection boundary, plus an optional periodic grid), and resume
-    /// every job from its nearest ancestor checkpoint, replaying only the
-    /// fault-free gap. Jobs whose nets the golden run never reads from
-    /// the injection instant on are classified without simulation. There
-    /// is no full-re-execution fallback: the reset-state checkpoint is an
-    /// ancestor of every instant.
+    /// Checkpoint-tree fork over a golden-shadow sweep: simulate the
+    /// fault-free trajectory once, dropping a pool of checkpoints (reset
+    /// state, every requested injection boundary, plus an optional
+    /// periodic grid). Each worker then restores the shallowest checkpoint
+    /// its jobs need and steps the golden run with every job's faults
+    /// armed as shadows; a job runs on its own only from the sweep window
+    /// in which its fault first changes a read. Jobs whose nets the golden
+    /// run never reads from the injection instant on are classified
+    /// without simulation. Each job is billed as a fork from its own
+    /// nearest ancestor checkpoint, and there is no full-re-execution
+    /// fallback: the reset-state checkpoint is an ancestor of every
+    /// instant.
     #[default]
     Fork,
     /// Re-simulate every job from reset. Kept as the equivalence baseline
@@ -422,7 +431,10 @@ impl Campaign {
 
     /// Bound every job by wall-clock time on top of the architectural
     /// cycle budget. Overruns classify as [`FaultOutcome::Hang`] and are
-    /// counted in [`CampaignStats::timed_out`]. Off by default — and best
+    /// counted in [`CampaignStats::timed_out`]. On the fork engine a job
+    /// is charged for one golden-shadow sweep pass over each window it
+    /// rode and for its own run, never for other jobs' runs. Off by
+    /// default — and best
     /// kept generous: a deadline that fires on a job the cycle budget
     /// would have classified differently makes results host-load
     /// dependent. The deadline does not enter the journal fingerprint for
@@ -1164,8 +1176,13 @@ impl Campaign {
 
     /// Run `jobs` on `threads` workers, honouring prefilled (resumed)
     /// slots and appending each completed job to the journal before its
-    /// record is published. With a static `plan`, the workers simulate
-    /// only the [`StaticVerdict::Simulate`] jobs; the pruned and
+    /// record is published. Worker `w` takes every `threads`-th run of
+    /// `kinds.len()` consecutive jobs (one site's fault models, in the
+    /// planned order), so every worker gets a like mix of fault models; on
+    /// the fork engine it classifies its share on one golden-shadow sweep
+    /// (see [`sweep`]). One worker runs on the calling thread. With a
+    /// static `plan`, the workers simulate only the
+    /// [`StaticVerdict::Simulate`] jobs; the pruned and
     /// collapsed records are synthesised on the main thread afterwards
     /// (so a collapsed member always finds its representative's slot
     /// filled) and journaled in that order — representative entries
@@ -1185,11 +1202,9 @@ impl Campaign {
         let ctx = JobContext {
             program: &self.program,
             golden,
-            pool,
             deadline: self.deadline,
             safety: self.safety,
         };
-        let next = std::sync::atomic::AtomicUsize::new(0);
         // Which slots were reconstituted from the journal; read-only, so
         // workers can skip them without taking the lock.
         let done: Vec<bool> = prefilled.iter().map(Option::is_some).collect();
@@ -1198,61 +1213,72 @@ impl Campaign {
             journal,
             journal_error: None,
         });
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| {
-                    // One model instance per worker, reset or restored
-                    // between runs.
-                    let mut cpu = Leon3::new(config.clone());
-                    loop {
-                        let idx = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if idx >= jobs.len() {
-                            break;
+        let publish =
+            |idx: usize, outcome: FaultOutcome, detection: Detection, mut delta: CampaignStats| {
+                let job = &jobs[idx];
+                let record = FaultRecord {
+                    site: job.sites[0],
+                    kind: job.kind,
+                    outcome,
+                    activated: job
+                        .sites()
+                        .iter()
+                        .any(|s| golden.net_exercised_from(s.net, job.injection_cycle)),
+                    detection,
+                    pruned_by: None,
+                };
+                delta.count_bucket(&record);
+                // Jobs are panic-isolated, so a poisoned lock can only mean a
+                // panic *outside* a job (e.g. an OOM abort path); every update
+                // below is whole-record, so recovery is safe.
+                let mut guard = shared.lock().unwrap_or_else(PoisonError::into_inner);
+                if guard.journal_error.is_none() {
+                    if let Some(journal) = guard.journal.as_mut() {
+                        // Write-ahead: the line is flushed before the record
+                        // is published in memory.
+                        if let Err(e) = journal.append(&Entry {
+                            job: idx,
+                            record: record.clone(),
+                            delta,
+                        }) {
+                            guard.journal_error = Some(e);
+                            guard.journal = None;
                         }
-                        if done[idx] {
-                            continue;
-                        }
-                        if plan.is_some_and(|p| p[idx] != StaticVerdict::Simulate) {
-                            continue;
-                        }
-                        let job = &jobs[idx];
-                        let (outcome, detection, mut delta) = run_job_isolated(&mut cpu, &ctx, job);
-                        let record = FaultRecord {
-                            site: job.sites[0],
-                            kind: job.kind,
-                            outcome,
-                            activated: job
-                                .sites()
-                                .iter()
-                                .any(|s| ctx.golden.net_exercised_from(s.net, job.injection_cycle)),
-                            detection,
-                            pruned_by: None,
-                        };
-                        delta.count_bucket(&record);
-                        // Jobs are panic-isolated, so a poisoned lock can
-                        // only mean a panic *outside* a job (e.g. an OOM
-                        // abort path); every update below is
-                        // whole-record, so recovery is safe.
-                        let mut guard = shared.lock().unwrap_or_else(PoisonError::into_inner);
-                        if guard.journal_error.is_none() {
-                            if let Some(journal) = guard.journal.as_mut() {
-                                // Write-ahead: the line is flushed before
-                                // the record is published in memory.
-                                if let Err(e) = journal.append(&Entry {
-                                    job: idx,
-                                    record: record.clone(),
-                                    delta,
-                                }) {
-                                    guard.journal_error = Some(e);
-                                    guard.journal = None;
-                                }
-                            }
-                        }
-                        guard.slots[idx] = Some((record, delta));
                     }
-                });
+                }
+                guard.slots[idx] = Some((record, delta));
+            };
+        let kinds = self.kinds.len();
+        let worker = |share: usize| {
+            let mine: Vec<usize> = (0..jobs.len())
+                .filter(|&idx| (idx / kinds) % threads == share)
+                .filter(|&idx| !done[idx])
+                .filter(|&idx| plan.is_none_or(|p| p[idx] == StaticVerdict::Simulate))
+                .collect();
+            // One model instance per worker, restored between runs.
+            let mut cpu = Leon3::new(config.clone());
+            match pool {
+                Some(pool) => sweep(&mut cpu, &ctx, pool, jobs, &mine, &publish),
+                None => {
+                    for idx in mine {
+                        let (outcome, detection, delta) =
+                            isolated(|tally| run_job(&mut cpu, &ctx, tally, &jobs[idx]));
+                        publish(idx, outcome, detection, delta);
+                    }
+                }
             }
-        });
+        };
+        if threads == 1 {
+            // A spawned thread would get a malloc arena of its own.
+            worker(0);
+        } else {
+            std::thread::scope(|scope| {
+                for share in 0..threads {
+                    let worker = &worker;
+                    scope.spawn(move || worker(share));
+                }
+            });
+        }
         let mut shared = shared.into_inner().unwrap_or_else(PoisonError::into_inner);
         if let Some(e) = shared.journal_error {
             return Err(e.into());
@@ -1291,10 +1317,10 @@ impl Campaign {
         Ok(shared
             .slots
             .into_iter()
-            // Invariant: the atomic counter hands every index to exactly
-            // one worker, prefilled indices arrive occupied, and the
+            // Invariant: the shares partition the indices among the
+            // workers, prefilled indices arrive occupied, and the
             // synthesis pass above fills every pruned/collapsed slot — so
-            // every slot is filled once the scope joins.
+            // every slot is filled once the workers return.
             .map(|slot| slot.expect("all jobs ran"))
             .collect())
     }
@@ -1375,7 +1401,6 @@ impl Campaign {
         let ctx = JobContext {
             program: &self.program,
             golden,
-            pool: None,
             deadline: None,
             safety: self.safety,
         };
@@ -1730,6 +1755,16 @@ impl Job {
     fn sites(&self) -> &[FaultSite] {
         &self.sites[..self.n_sites]
     }
+
+    /// The job's faults, one per site.
+    fn faults(&self) -> impl Iterator<Item = Fault> + '_ {
+        self.sites().iter().map(|site| Fault {
+            net: site.net,
+            bit: site.bit,
+            kind: self.kind,
+            from_cycle: self.injection_cycle,
+        })
+    }
 }
 
 /// One fault-free snapshot of the golden trajectory, restorable by any
@@ -1759,6 +1794,30 @@ impl CheckpointPool {
         &self.checkpoints[idx - 1]
     }
 
+    /// The checkpoint `job` forks from: the deepest one at or before its
+    /// injection boundary.
+    fn ancestor(&self, golden: &GoldenRun, job: &Job) -> &Checkpoint {
+        self.nearest(golden.prefix_steps(job.injection_cycle) as u64)
+    }
+
+    /// Bill `job` as forked from its own [`CheckpointPool::ancestor`] and
+    /// run to `end_cycle`, whichever model stepped it: restoring its
+    /// boundary checkpoint is a fork, a shallower one a restore with
+    /// replay, and the cycles from the ancestor to the end are simulated.
+    fn bill(&self, golden: &GoldenRun, job: &Job, end_cycle: u64, tally: &mut CampaignStats) {
+        let boundary = golden.prefix_steps(job.injection_cycle) as u64;
+        let ckpt = self.nearest(boundary);
+        let from = ckpt.snapshot.cycle();
+        if ckpt.steps == boundary {
+            tally.forked += 1;
+        } else {
+            tally.restored_from_checkpoint += 1;
+            tally.replay_cycles += golden.cycle_at_step(boundary as usize) - from;
+        }
+        tally.cycles_simulated += end_cycle.saturating_sub(from);
+        tally.cycles_avoided += from;
+    }
+
     /// Cycles simulated to build the pool: the deepest checkpoint's
     /// cycle, since construction is one monotone sweep.
     fn build_cycles(&self) -> u64 {
@@ -1778,8 +1837,6 @@ impl CheckpointPool {
 struct JobContext<'a> {
     program: &'a Program,
     golden: &'a GoldenRun,
-    /// The checkpoint pool (fork engine only).
-    pool: Option<&'a CheckpointPool>,
     /// Per-job wall-clock budget, if configured.
     deadline: Option<Duration>,
     /// Which safety mechanisms to evaluate over the observation.
@@ -1787,13 +1844,12 @@ struct JobContext<'a> {
 }
 
 /// Classify one job with panic isolation: a panicking attempt is retried
-/// once from a fresh model restore (the job entry points `restore`/`reset`
-/// the model, so the retry never sees torn state); a second panic yields
-/// [`FaultOutcome::EngineAnomaly`] with the panic payload.
-fn run_job_isolated(
-    cpu: &mut Leon3,
-    ctx: &JobContext<'_>,
-    job: &Job,
+/// once (every job entry sequence restores or resets the model first, so
+/// the retry never sees torn state); a second panic yields
+/// [`FaultOutcome::EngineAnomaly`] with the panic payload, and the failed
+/// attempts' cost tally is dropped.
+fn isolated(
+    mut attempt_job: impl FnMut(&mut CampaignStats) -> (FaultOutcome, Detection),
 ) -> (FaultOutcome, Detection, CampaignStats) {
     for attempt in 0..2 {
         // `&mut Leon3` is not `UnwindSafe` by definition, but the model
@@ -1802,7 +1858,7 @@ fn run_job_isolated(
         // into the next run (see `leon3_model::Leon3` docs).
         let run = catch_unwind(AssertUnwindSafe(|| {
             let mut delta = CampaignStats::default();
-            let (outcome, detection) = run_job(cpu, ctx, &mut delta, job);
+            let (outcome, detection) = attempt_job(&mut delta);
             (outcome, detection, delta)
         }));
         match run {
@@ -1844,13 +1900,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Classify one job. On the fork engine the model is restored from the
-/// nearest-ancestor checkpoint — replaying any gap up to the injection
-/// boundary with the fault armed but not yet active, so the activation
-/// tick is bit-identical to a run from reset — or the job is skipped
-/// outright when the golden run never reads any injected net from the
-/// injection instant on. On the full-reexecution engine the model is
-/// reset and re-run from cycle 0.
+/// Classify one job on the full-reexecution engine: reset the model and
+/// re-run it from cycle 0 with the job's faults injected.
 fn run_job(
     cpu: &mut Leon3,
     ctx: &JobContext<'_>,
@@ -1858,56 +1909,253 @@ fn run_job(
     job: &Job,
 ) -> (FaultOutcome, Detection) {
     let deadline = ctx.deadline.map(|d| Instant::now() + d);
-    if let Some(pool) = ctx.pool {
-        let inert = job
-            .sites()
-            .iter()
-            .all(|s| !ctx.golden.net_exercised_from(s.net, job.injection_cycle));
-        if inert {
-            // The fault can never be read: the faulty run reproduces
-            // the golden run to the end by construction. (This theorem
-            // is about the golden run, so it holds at any instant — and
-            // it equally means no mechanism can fire.)
-            tally.skipped_inactive += 1;
-            tally.cycles_avoided += ctx.golden.cycles;
-            return (FaultOutcome::NoEffect, Detection::Undetected);
-        }
-        let boundary = ctx.golden.prefix_steps(job.injection_cycle) as u64;
-        let ckpt = pool.nearest(boundary);
-        if ckpt.steps == boundary {
-            tally.forked += 1;
-        } else {
-            tally.restored_from_checkpoint += 1;
-            tally.replay_cycles +=
-                ctx.golden.cycle_at_step(boundary as usize) - ckpt.snapshot.cycle();
-        }
-        cpu.restore(&ckpt.snapshot);
-        inject_all(cpu, job);
-        let run = observe(
-            cpu,
-            ctx.golden,
-            job.injection_cycle,
-            ckpt.steps,
-            ckpt.snapshot.trace_len(),
-            deadline,
-        );
-        tally.cycles_simulated += cpu.cycles() - ckpt.snapshot.cycle();
-        tally.cycles_avoided += ckpt.snapshot.cycle();
-        tally.short_circuited += usize::from(run.short_circuited);
-        tally.timed_out += usize::from(run.timed_out);
-        let detection = classify_run(cpu, ctx, job, &run);
-        return (run.outcome, detection);
-    }
     tally.full_reexecutions += 1;
     cpu.reset();
     cpu.load(ctx.program);
-    inject_all(cpu, job);
+    for fault in job.faults() {
+        cpu.inject(fault);
+    }
     let run = observe(cpu, ctx.golden, job.injection_cycle, 0, 0, deadline);
     tally.cycles_simulated += cpu.cycles();
     tally.short_circuited += usize::from(run.short_circuited);
     tally.timed_out += usize::from(run.timed_out);
     let detection = classify_run(cpu, ctx, job, &run);
     (run.outcome, detection)
+}
+
+/// Golden steps between two window snapshots of a [`sweep`].
+const SWEEP_WINDOW_STEPS: u64 = 1024;
+
+#[cfg(test)]
+thread_local! {
+    /// Jobs that ran on a model of their own after leaving a sweep on this
+    /// thread.
+    static OWN_RUNS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Classify `mine` (indices into `jobs`) on the fork engine with one
+/// **golden-shadow sweep**.
+///
+/// A job whose nets the golden run never reads from its injection instant
+/// on is classified `NoEffect` at once. The rest are armed as shadow
+/// faults on one golden run, restored from the shallowest pool checkpoint
+/// they need and stepped in windows of [`SWEEP_WINDOW_STEPS`]. A fault
+/// acts only through reads, so a job's faulty machine is the golden one
+/// until its first *effective divergence*: a read of its net that the
+/// fault would change, or the activation of a transient or burst fault.
+/// A job that diverges inside a window runs on its own from that window's
+/// start snapshot once the window ends, with its fault state carried over;
+/// then the window is stepped again without it (the same reads, so no
+/// other shadow diverges there). Jobs still on the sweep when the golden
+/// run halts are `NoEffect`, classified from the sweep's final trace.
+///
+/// Every job is billed as if it had been restored from its own pool
+/// ancestor and stepped to its end cycle, so records and stats are those
+/// of a per-job fork. A job's wall-clock deadline bounds the time spent
+/// stepping its faulty machine: one pass of the sweep over each window it
+/// rode from the one its pool ancestor lies in, then its own run. Other
+/// jobs' own runs, and the first pass over a window that other jobs left
+/// in, do not count against it.
+fn sweep(
+    cpu: &mut Leon3,
+    ctx: &JobContext<'_>,
+    pool: &CheckpointPool,
+    jobs: &[Job],
+    mine: &[usize],
+    publish: &impl Fn(usize, FaultOutcome, Detection, CampaignStats),
+) {
+    let golden = ctx.golden;
+    let mut on_sweep = Vec::with_capacity(mine.len());
+    for &idx in mine {
+        let job = &jobs[idx];
+        if job
+            .sites()
+            .iter()
+            .any(|s| golden.net_exercised_from(s.net, job.injection_cycle))
+        {
+            on_sweep.push(idx);
+        } else {
+            // The fault can never be read: the faulty run reproduces the
+            // golden run to the end by construction (and no mechanism can
+            // fire).
+            let delta = CampaignStats {
+                skipped_inactive: 1,
+                cycles_avoided: golden.cycles,
+                ..CampaignStats::default()
+            };
+            publish(idx, FaultOutcome::NoEffect, Detection::Undetected, delta);
+        }
+    }
+    // A job leaves the sweep to run on its own from a window's start, its
+    // faults injected afresh or carried over from the shadow table saved
+    // there, with what the `spent` sweep time left of its deadline.
+    let run_own = |cpu: &mut Leon3,
+                   idx: usize,
+                   window: &Mark,
+                   steps: u64,
+                   carried: Option<&ShadowTable>,
+                   spent: Duration| {
+        let job = &jobs[idx];
+        let (outcome, detection, delta) = isolated(|tally| {
+            let deadline = ctx
+                .deadline
+                .map(|d| Instant::now() + d.saturating_sub(spent));
+            #[cfg(test)]
+            OWN_RUNS.with(|runs| runs.set(runs.get() + 1));
+            cpu.rewind(window);
+            match carried {
+                Some(table) => cpu.inject_shadowed(table, idx),
+                None => job.faults().for_each(|fault| cpu.inject(fault)),
+            }
+            let run = observe(
+                cpu,
+                golden,
+                job.injection_cycle,
+                steps,
+                window.trace_len(),
+                deadline,
+            );
+            pool.bill(golden, job, cpu.cycles(), tally);
+            tally.short_circuited += usize::from(run.short_circuited);
+            tally.timed_out += usize::from(run.timed_out);
+            let detection = classify_run(cpu, ctx, job, &run);
+            (run.outcome, detection)
+        });
+        publish(idx, outcome, detection, delta);
+    };
+    let Some(start) = on_sweep
+        .iter()
+        .map(|&idx| pool.ancestor(golden, &jobs[idx]))
+        .min_by_key(|ckpt| ckpt.steps)
+    else {
+        return;
+    };
+    let restoring = Instant::now();
+    cpu.restore(&start.snapshot);
+    let mut window = cpu.mark();
+    let mut window_steps = start.steps;
+    // Wall-clock time the sweep has spent stepping so far, and its value
+    // at each window start: a job's deadline is charged from the window
+    // its own pool ancestor lies in.
+    let mut swept = restoring.elapsed();
+    let mut starts = vec![(window_steps, Duration::ZERO)];
+    let spent = |starts: &[(u64, Duration)], swept: Duration, idx: usize| {
+        let from = pool.ancestor(golden, &jobs[idx]).steps;
+        swept - starts[starts.partition_point(|&(steps, _)| steps <= from) - 1].1
+    };
+    // A fault the model refuses (a bit outside its net) cannot be armed;
+    // its job runs on its own from the start, where `isolated` records the
+    // model's panic.
+    on_sweep.retain(|&idx| {
+        let accepted = jobs[idx].faults().all(|fault| cpu.pool().accepts(&fault));
+        if !accepted {
+            let spent = spent(&starts, swept, idx);
+            run_own(cpu, idx, &window, window_steps, None, spent);
+            cpu.rewind(&window);
+        }
+        accepted
+    });
+    cpu.arm_shadows(
+        on_sweep
+            .iter()
+            .flat_map(|&idx| jobs[idx].faults().map(move |fault| (fault, idx))),
+    );
+    let mut saved = cpu.shadows().clone();
+    let mut leaving = Vec::new();
+    while !on_sweep.is_empty() {
+        if let Some(d) = ctx.deadline {
+            leaving.clear();
+            leaving.extend(
+                on_sweep
+                    .iter()
+                    .copied()
+                    .filter(|&idx| spent(&starts, swept, idx) >= d),
+            );
+            // These jobs overran their deadline on the sweep.
+            for &idx in &leaving {
+                let job = &jobs[idx];
+                let run = Observation {
+                    outcome: FaultOutcome::Hang {
+                        latency_cycles: cpu.cycles().saturating_sub(job.injection_cycle),
+                    },
+                    short_circuited: false,
+                    timed_out: true,
+                    matched: window.trace_len(),
+                };
+                let mut delta = CampaignStats {
+                    timed_out: 1,
+                    ..CampaignStats::default()
+                };
+                pool.bill(golden, job, cpu.cycles(), &mut delta);
+                let detection = classify_run(cpu, ctx, job, &run);
+                publish(idx, run.outcome, detection, delta);
+            }
+            if !leaving.is_empty() {
+                leaving.sort_unstable();
+                on_sweep.retain(|idx| leaving.binary_search(idx).is_err());
+                if on_sweep.is_empty() {
+                    return;
+                }
+                cpu.retire_shadows(|owner| leaving.binary_search(&owner).is_ok());
+                saved.clone_from(cpu.shadows());
+            }
+        }
+        let mut pass = Instant::now();
+        let mut stepped = 0;
+        let mut halted = false;
+        while stepped < SWEEP_WINDOW_STEPS && !halted {
+            halted = cpu.step() == StepEvent::Stopped;
+            stepped += 1;
+        }
+        leaving.clear();
+        leaving.extend(cpu.diverged_shadow_owners());
+        if !leaving.is_empty() {
+            leaving.sort_unstable();
+            leaving.dedup();
+            for &idx in &leaving {
+                let spent = spent(&starts, swept, idx);
+                run_own(cpu, idx, &window, window_steps, Some(&saved), spent);
+            }
+            on_sweep.retain(|idx| leaving.binary_search(idx).is_err());
+            if on_sweep.is_empty() {
+                return;
+            }
+            // The jobs left are charged for this pass only.
+            pass = Instant::now();
+            cpu.rewind(&window);
+            cpu.set_shadows(&saved);
+            cpu.retire_shadows(|owner| leaving.binary_search(&owner).is_ok());
+            for _ in 0..stepped {
+                cpu.step();
+            }
+            debug_assert!(
+                cpu.diverged_shadow_owners().next().is_none(),
+                "a re-stepped window diverged"
+            );
+        }
+        if halted {
+            break;
+        }
+        cpu.mark_into(&mut window);
+        saved.clone_from(cpu.shadows());
+        window_steps += stepped;
+        swept += pass.elapsed();
+        starts.push((window_steps, swept));
+    }
+    // Never diverged: each of these faulty runs is the golden run.
+    let run = Observation {
+        outcome: FaultOutcome::NoEffect,
+        short_circuited: false,
+        timed_out: false,
+        matched: golden.writes.len(),
+    };
+    for &idx in &on_sweep {
+        let job = &jobs[idx];
+        let mut delta = CampaignStats::default();
+        pool.bill(golden, job, cpu.cycles(), &mut delta);
+        let detection = classify_run(cpu, ctx, job, &run);
+        publish(idx, FaultOutcome::NoEffect, detection, delta);
+    }
 }
 
 /// Evaluate the safety mechanisms over a finished observation. The fork
@@ -1927,17 +2175,6 @@ fn classify_run(cpu: &Leon3, ctx: &JobContext<'_>, job: &Job, run: &Observation)
             truncated: run.short_circuited || run.timed_out,
         },
     )
-}
-
-fn inject_all(cpu: &mut Leon3, job: &Job) {
-    for site in job.sites() {
-        cpu.inject(Fault {
-            net: site.net,
-            bit: site.bit,
-            kind: job.kind,
-            from_cycle: job.injection_cycle,
-        });
-    }
 }
 
 /// What [`observe`] saw.
@@ -2426,6 +2663,62 @@ mod tests {
                 ),
                 "{r:?}"
             );
+        }
+    }
+
+    #[test]
+    fn a_generous_deadline_changes_no_record() {
+        // A job's budget is charged only for the sweep passes it rode and
+        // its own run, so an hour times nothing out on any thread count.
+        let campaign = Campaign::new(small_program(), Target::IntegerUnit)
+            .with_sample(24, 5)
+            .with_kinds(&[FaultKind::StuckAt0, FaultKind::StuckAt1]);
+        let untimed = campaign.run(1);
+        for threads in [1, 3] {
+            let timed = campaign
+                .clone()
+                .with_deadline(Duration::from_secs(3600))
+                .run(threads);
+            assert_eq!(timed.records(), untimed.records(), "threads {threads}");
+            assert_eq!(timed.stats(), untimed.stats(), "threads {threads}");
+        }
+    }
+
+    #[test]
+    fn a_job_that_never_changes_a_read_needs_no_run_of_its_own() {
+        // The annul flag is read on every step and stays 0 (the program
+        // has no annulling branch), so a stuck-at-0 on it never changes a
+        // read and rides the sweep to the golden halt, with or without
+        // faithful clocking's every-net sweeps. The PC's bit 2 changes a
+        // read within a few steps and leaves the sweep.
+        let cpu = Leon3::new(Leon3Config::default());
+        let quiet = FaultSite {
+            net: cpu.nets().annul,
+            bit: 0,
+            unit: Unit::Fetch,
+        };
+        let loud = FaultSite {
+            net: cpu.nets().pc,
+            bit: 2,
+            unit: Unit::Fetch,
+        };
+        for faithful_clocking in [false, true] {
+            let campaign = Campaign::new(small_program(), Target::IntegerUnit)
+                .with_sites(vec![quiet, loud])
+                .with_kinds(&[FaultKind::StuckAt0])
+                .with_injection_fraction(0.2)
+                .with_config(Leon3Config {
+                    faithful_clocking,
+                    ..Leon3Config::default()
+                });
+            OWN_RUNS.with(|runs| runs.set(0));
+            let sweep = campaign.run(1);
+            assert_eq!(OWN_RUNS.with(std::cell::Cell::get), 1);
+            assert_eq!(sweep.stats().forked, 2, "{:?}", sweep.stats());
+            assert_eq!(sweep.records()[0].outcome, FaultOutcome::NoEffect);
+            assert!(sweep.records()[1].outcome.is_failure());
+            let full = campaign.with_execution(Execution::FullReexecution).run(1);
+            assert_eq!(sweep.records(), full.records());
         }
     }
 

@@ -181,8 +181,10 @@ impl ModelSummary {
 pub struct CampaignStats {
     /// Total (site, kind) jobs in the campaign.
     pub jobs: usize,
-    /// Jobs resumed from a checkpoint taken exactly at their injection
-    /// boundary (no gap to replay).
+    /// Fork-engine jobs whose pool ancestor is the checkpoint at their own
+    /// injection boundary (no gap to replay). The count is the same
+    /// whether the job ran on its own from a sweep window or never left
+    /// the golden-shadow sweep.
     pub forked: usize,
     /// Jobs simulated from cycle 0 (the full-reexecution engine).
     pub full_reexecutions: usize,
@@ -230,11 +232,17 @@ pub struct CampaignStats {
     pub prefix_cycles: u64,
     /// The golden run's cycle count, for scale.
     pub golden_cycles: u64,
-    /// Faulty-run cycles actually simulated, including the one-off prefix.
+    /// Faulty-machine cycles, including the one-off prefix: each job
+    /// counts the cycles from its pool ancestor (reset under full
+    /// re-execution) to its end, whether they were stepped on its own
+    /// model or on the shared golden-shadow sweep. Batch fault simulators
+    /// count lane cycles the same way. Host-stepped cycles are fewer: a
+    /// sweep steps the golden prefix once for all of its jobs.
     pub cycles_simulated: u64,
     /// Cycles a full-reexecution engine would have simulated on top of
-    /// `cycles_simulated`: the shared prefix re-run per forked job, plus
-    /// one whole golden-length run per activation-skipped job.
+    /// `cycles_simulated`: each forked job's pool ancestor cycle (the
+    /// prefix a run from reset repeats), plus one whole golden-length run
+    /// per activation-skipped or statically pruned job.
     pub cycles_avoided: u64,
     /// ISO 26262 *safe* faults: activated, no observable effect, nothing
     /// to detect.

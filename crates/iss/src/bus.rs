@@ -108,6 +108,12 @@ impl BusTrace {
         self.events.is_empty()
     }
 
+    /// Keep the first `len` events and drop the rest (no-op if the trace
+    /// is not longer than `len`).
+    pub fn truncate(&mut self, len: usize) {
+        self.events.truncate(len);
+    }
+
     /// Index of the first write whose payload diverges from `golden`'s
     /// corresponding write, or where one trace ends early.
     ///

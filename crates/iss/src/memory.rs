@@ -67,11 +67,38 @@ impl std::error::Error for MemError {}
 ///
 /// Pages are allocated lazily and zero-filled, so a multi-megabyte RAM costs
 /// only what the workload touches.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Memory {
     pages: HashMap<u32, Box<[u8; PAGE_SIZE]>, BuildHasherDefault<PageHasher>>,
     base: u32,
     size: u32,
+}
+
+impl Clone for Memory {
+    fn clone(&self) -> Memory {
+        Memory {
+            pages: self.pages.clone(),
+            base: self.base,
+            size: self.size,
+        }
+    }
+
+    /// Copy `source` into this memory's own page buffers, allocating only
+    /// pages this one lacks, so restoring a snapshot over a model that ran
+    /// the same workload copies bytes without touching the allocator.
+    fn clone_from(&mut self, source: &Memory) {
+        self.pages.retain(|page, _| source.pages.contains_key(page));
+        for (&page, bytes) in &source.pages {
+            match self.pages.get_mut(&page) {
+                Some(own) => own.copy_from_slice(&bytes[..]),
+                None => {
+                    self.pages.insert(page, bytes.clone());
+                }
+            }
+        }
+        self.base = source.base;
+        self.size = source.size;
+    }
 }
 
 impl Memory {

@@ -42,5 +42,5 @@ mod wave;
 
 pub use fault::{Bridge, BridgeKind, Fault, FaultKind};
 pub use graph::{observed_edges, NetEvent, NetGraph};
-pub use net::{NetId, NetMeta, NetPool, PoolCheckpoint};
+pub use net::{NetId, NetMeta, NetPool, PoolCheckpoint, ShadowTable};
 pub use wave::Waveform;

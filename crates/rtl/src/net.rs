@@ -8,6 +8,13 @@ use std::fmt;
 /// Sentinel in the read tracker: the net has never been read.
 const NEVER_READ: u64 = u64::MAX;
 
+/// `NetPool::raw_key` of a pool whose every read is raw: no net id has
+/// bit 31 set.
+const ALL_RAW: u32 = 1 << 31;
+
+/// Sentinel in [`ShadowTable::first`]: no shadow watches the net.
+const UNWATCHED: u32 = u32::MAX;
+
 /// Identifier of a net within its [`NetPool`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NetId(u32);
@@ -39,12 +46,105 @@ pub struct NetMeta<T> {
 /// Which reads must leave the plain indexed load (see [`NetPool::read`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Overlay {
-    /// No fault, bridge, read tracker or event trace: every read is raw.
+    /// No fault, bridge, shadow, read tracker or event trace: every read
+    /// is raw.
     None,
     /// Exactly one fault, on this net, and nothing else.
     One(NetId),
+    /// The read tracker alone: note the cycle, return the raw value.
+    Track,
+    /// Shadow faults alone: watched nets check them, every read is raw.
+    Shadow,
     /// Anything else: every read takes the general path.
     Any,
+}
+
+/// Shadow faults armed on a fault-free pool (see [`NetPool::arm_shadows`]).
+///
+/// A shadow ticks and activates like the fault it stands for (an open
+/// line captures its held bit) but never changes a value the model reads.
+/// It only notes its owner's first *effective divergence*: a read of its
+/// net whose faulted value differs from the raw one, or the activation of
+/// a transient or burst fault, which would change a stored value. Until
+/// then the faulty machine it stands for is the fault-free one.
+///
+/// The table is plain data, so a caller can save it beside a checkpoint
+/// and put it back with [`NetPool::set_shadows`].
+#[derive(Debug)]
+pub struct ShadowTable {
+    /// Sorted by net; one owner's shadows on a net keep their arming order.
+    entries: Vec<Shadow>,
+    /// Per net: the index of its first entry, or `UNWATCHED`.
+    first: Vec<u32>,
+    /// The earliest injection instant of an inactive entry (`u64::MAX` if
+    /// none), so a tick only scans the table when one falls due.
+    next_activation: u64,
+}
+
+#[derive(Debug, Clone)]
+struct Shadow {
+    state: ActiveFault,
+    owner: usize,
+    /// Set at the first effective divergence. `Cell` because `read` takes
+    /// `&self`.
+    diverged: Cell<bool>,
+}
+
+impl Default for ShadowTable {
+    fn default() -> Self {
+        ShadowTable {
+            entries: Vec::new(),
+            first: Vec::new(),
+            next_activation: u64::MAX,
+        }
+    }
+}
+
+impl Clone for ShadowTable {
+    fn clone(&self) -> Self {
+        ShadowTable {
+            entries: self.entries.clone(),
+            first: self.first.clone(),
+            next_activation: self.next_activation,
+        }
+    }
+
+    /// Field by field, so a table saved again and again reuses its
+    /// buffers instead of reallocating them.
+    fn clone_from(&mut self, source: &Self) {
+        self.entries.clone_from(&source.entries);
+        self.first.clone_from(&source.first);
+        self.next_activation = source.next_activation;
+    }
+}
+
+impl ShadowTable {
+    /// Whether no shadow is armed.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Rebuild the per-net index and the next activation instant after
+    /// the entry list changed.
+    fn reindex(&mut self, nets: usize) {
+        self.first.clear();
+        if !self.entries.is_empty() {
+            self.first.resize(nets, UNWATCHED);
+        }
+        for (k, shadow) in self.entries.iter().enumerate().rev() {
+            self.first[shadow.state.fault.net.0 as usize] = k as u32;
+        }
+        self.reindex_activation();
+    }
+
+    fn reindex_activation(&mut self) {
+        self.next_activation = self
+            .entries
+            .iter()
+            .filter(|s| !s.state.active)
+            .map(|s| s.state.fault.from_cycle)
+            .fold(u64::MAX, u64::min);
+    }
 }
 
 /// A pool of named nets with values, plus the active fault overlay.
@@ -62,9 +162,16 @@ pub struct NetPool<T> {
     faults: Vec<ActiveFault>,
     bridges: Vec<(Bridge, bool)>,
     /// What `read` must apply beyond the raw value. Every call that
-    /// changes `faults`, `bridges`, `last_read` or `events` recomputes it
-    /// through [`NetPool::refresh_overlay`].
+    /// changes `faults`, `bridges`, `shadows`, `last_read` or `events`
+    /// recomputes it through [`NetPool::refresh_overlay`].
     overlay: Overlay,
+    /// The overlay as one test: a read of net `id` is raw when
+    /// `(id ^ raw_key) & raw_mask != 0`. That is every net for `None`
+    /// (`raw_key` has bit 31 set, which no net id has), every net but one
+    /// for `One`, every net outside the watched nets' common bit pattern
+    /// for `Shadow`, and none otherwise: one branch on the hot path.
+    raw_key: u32,
+    raw_mask: u32,
     cycle: u64,
     /// When enabled, the cycle of the most recent [`NetPool::read`] per
     /// net (`NEVER_READ` if none). `Cell` because `read` takes `&self`.
@@ -73,6 +180,7 @@ pub struct NetPool<T> {
     /// because `read` takes `&self`). Only switched on for the short
     /// taint-extraction runs behind the model-conformance check.
     events: Option<RefCell<Vec<NetEvent>>>,
+    shadows: ShadowTable,
 }
 
 /// A saved pool state: the raw flip-flop values and the clock.
@@ -117,9 +225,12 @@ impl<T> NetPool<T> {
             faults: Vec::new(),
             bridges: Vec::new(),
             overlay: Overlay::None,
+            raw_key: ALL_RAW,
+            raw_mask: u32::MAX,
             cycle: 0,
             last_read: None,
             events: None,
+            shadows: ShadowTable::default(),
         }
     }
 
@@ -130,6 +241,7 @@ impl<T> NetPool<T> {
     /// Panics if `width` is 0 or exceeds 32.
     pub fn net(&mut self, name: impl Into<String>, width: u8, tag: T) -> NetId {
         assert!((1..=32).contains(&width), "net width {width} out of range");
+        assert!(self.values.len() < ALL_RAW as usize, "too many nets");
         let id = NetId(self.values.len() as u32);
         self.values.push(0);
         self.masks.push(u32::MAX >> (32 - width));
@@ -142,6 +254,10 @@ impl<T> NetPool<T> {
         // `enable_read_tracking`, or `read` indexes past its end.
         if let Some(track) = &mut self.last_read {
             track.push(Cell::new(NEVER_READ));
+        }
+        // Likewise the shadow index, once shadows are armed.
+        if !self.shadows.first.is_empty() {
+            self.shadows.first.push(UNWATCHED);
         }
         id
     }
@@ -186,14 +302,37 @@ impl<T> NetPool<T> {
     /// single compare.
     #[inline]
     pub fn read(&self, id: NetId) -> u32 {
+        if (id.0 ^ self.raw_key) & self.raw_mask != 0 {
+            self.values[id.0 as usize]
+        } else {
+            self.read_instrumented(id)
+        }
+    }
+
+    /// A read the overlay does not let through raw: the tracker or the
+    /// shadows alone note it and return the raw value; anything else takes
+    /// the general path.
+    #[inline(never)]
+    fn read_instrumented(&self, id: NetId) -> u32 {
+        let i = id.0 as usize;
         match self.overlay {
-            Overlay::None => self.values[id.0 as usize],
-            Overlay::One(net) if net != id => self.values[id.0 as usize],
+            Overlay::Track => {
+                if let Some(track) = &self.last_read {
+                    track[i].set(self.cycle);
+                }
+                self.values[i]
+            }
+            Overlay::Shadow => {
+                if self.shadows.first[i] != UNWATCHED {
+                    self.check_shadows(i);
+                }
+                self.values[i]
+            }
             _ => self.read_overlaid(id),
         }
     }
 
-    /// The general read: tracker, trace, faults and bridges.
+    /// The general read: tracker, trace, shadows, faults and bridges.
     #[inline(never)]
     fn read_overlaid(&self, id: NetId) -> u32 {
         if let Some(track) = &self.last_read {
@@ -201,6 +340,9 @@ impl<T> NetPool<T> {
         }
         if let Some(trace) = &self.events {
             trace.borrow_mut().push(NetEvent::Read(id));
+        }
+        if !self.shadows.is_empty() && self.shadows.first[id.0 as usize] != UNWATCHED {
+            self.check_shadows(id.0 as usize);
         }
         let mut value = self.values[id.0 as usize];
         for f in &self.faults {
@@ -231,15 +373,50 @@ impl<T> NetPool<T> {
         value
     }
 
+    /// Note the first effective divergence of every shadow on net `net`
+    /// that this read would see changed.
+    #[inline(never)]
+    fn check_shadows(&self, net: usize) {
+        let raw = self.values[net];
+        let entries = &self.shadows.entries[self.shadows.first[net] as usize..];
+        for shadow in entries
+            .iter()
+            .take_while(|s| s.state.fault.net.0 as usize == net)
+        {
+            if !shadow.diverged.get() && shadow.state.apply(raw, self.cycle) != raw {
+                shadow.diverged.set(true);
+            }
+        }
+    }
+
     /// Recompute [`Overlay`] after a change to the faults, the bridges,
-    /// the read tracker or the event trace.
+    /// the shadows, the read tracker or the event trace.
     fn refresh_overlay(&mut self) {
-        let instrumented = self.last_read.is_some() || self.events.is_some();
+        let tracked = self.last_read.is_some();
+        let shadowed = !self.shadows.is_empty();
+        let bare = self.events.is_none() && self.bridges.is_empty();
         self.overlay = match self.faults.as_slice() {
-            _ if instrumented || !self.bridges.is_empty() => Overlay::Any,
-            [] => Overlay::None,
-            [only] => Overlay::One(only.fault.net),
+            [] if bare && !tracked && !shadowed => Overlay::None,
+            [] if bare && !shadowed => Overlay::Track,
+            [] if bare && !tracked => Overlay::Shadow,
+            [only] if bare && !tracked && !shadowed => Overlay::One(only.fault.net),
             _ => Overlay::Any,
+        };
+        (self.raw_key, self.raw_mask) = match self.overlay {
+            Overlay::None => (ALL_RAW, u32::MAX),
+            Overlay::One(net) => (net.0, u32::MAX),
+            Overlay::Shadow => {
+                // Let through raw every net that differs from the watched
+                // ones in a bit they all share.
+                let first = self.shadows.entries[0].state.fault.net.0;
+                let differ = self
+                    .shadows
+                    .entries
+                    .iter()
+                    .fold(0, |acc, s| acc | (s.state.fault.net.0 ^ first));
+                (first & !differ, !differ)
+            }
+            _ => (0, 0),
         };
     }
 
@@ -259,20 +436,13 @@ impl<T> NetPool<T> {
     ///
     /// # Panics
     ///
-    /// Panics if the bit position is outside the net's width, or the
-    /// kind's parameters are out of their canonical range (see
-    /// [`FaultKind::validate`]).
+    /// Panics if the bit position is outside the net's width, the kind's
+    /// parameters are out of their canonical range (see
+    /// [`FaultKind::validate`]), or shadows are armed (see
+    /// [`NetPool::arm_shadows`]).
     pub fn inject(&mut self, fault: Fault) {
-        assert!(
-            fault.bit < self.meta[fault.net.0 as usize].width,
-            "bit {} outside net `{}` of width {}",
-            fault.bit,
-            self.meta[fault.net.0 as usize].name,
-            self.meta[fault.net.0 as usize].width
-        );
-        if let Err(reason) = fault.kind.validate() {
-            panic!("invalid fault parameters: {reason}");
-        }
+        self.check_fault(&fault);
+        assert!(self.shadows.is_empty(), "faults and shadows do not mix");
         self.faults.push(ActiveFault::new(fault));
         self.refresh_overlay();
         // If the injection instant is already past, activate immediately.
@@ -282,14 +452,49 @@ impl<T> NetPool<T> {
         }
     }
 
+    /// Whether [`NetPool::inject`] and [`NetPool::arm_shadows`] take
+    /// `fault`: its net is in the pool, its bit inside the net's width and
+    /// its kind's parameters in their canonical range.
+    pub fn accepts(&self, fault: &Fault) -> bool {
+        self.refusal(fault).is_none()
+    }
+
+    /// Why the pool refuses `fault`, if it does.
+    fn refusal(&self, fault: &Fault) -> Option<String> {
+        let Some(meta) = self.meta.get(fault.net.0 as usize) else {
+            return Some(format!(
+                "net {} outside a pool of {} nets",
+                fault.net.0,
+                self.meta.len()
+            ));
+        };
+        if fault.bit >= meta.width {
+            return Some(format!(
+                "bit {} outside net `{}` of width {}",
+                fault.bit, meta.name, meta.width
+            ));
+        }
+        match fault.kind.validate() {
+            Ok(()) => None,
+            Err(reason) => Some(format!("invalid fault parameters: {reason}")),
+        }
+    }
+
+    fn check_fault(&self, fault: &Fault) {
+        if let Some(reason) = self.refusal(fault) {
+            panic!("{reason}");
+        }
+    }
+
     /// Inject a bridging fault between two bits.
     ///
     /// # Panics
     ///
-    /// Panics if either bit is outside its net's width, or the two sides
-    /// are the same bit.
+    /// Panics if either bit is outside its net's width, the two sides are
+    /// the same bit, or shadows are armed.
     pub fn inject_bridge(&mut self, bridge: Bridge) {
         assert_ne!(bridge.a, bridge.b, "a bridge needs two distinct bits");
+        assert!(self.shadows.is_empty(), "faults and shadows do not mix");
         for (net, bit) in [bridge.a, bridge.b] {
             assert!(
                 bit < self.meta[net.0 as usize].width,
@@ -302,9 +507,123 @@ impl<T> NetPool<T> {
         self.refresh_overlay();
     }
 
-    /// Whether no fault or bridge is currently injected.
+    /// Whether no fault or bridge is currently injected (shadows change
+    /// no value, so they do not count).
     pub fn is_fault_free(&self) -> bool {
         self.faults.is_empty() && self.bridges.is_empty()
+    }
+
+    /// Arm shadow faults, each tagged with an `owner` the caller chooses
+    /// (a campaign job, say; a job of two faults arms two shadows with one
+    /// owner). A shadow whose injection instant is already past activates
+    /// at once, as [`NetPool::inject`] does. Reads stay raw: see
+    /// [`ShadowTable`] for what a shadow records instead.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a fault or bridge is injected, or on the
+    /// [`NetPool::inject`] conditions for any fault.
+    pub fn arm_shadows(&mut self, faults: impl IntoIterator<Item = (Fault, usize)>) {
+        assert!(self.is_fault_free(), "faults and shadows do not mix");
+        for (fault, owner) in faults {
+            self.check_fault(&fault);
+            self.shadows.entries.push(Shadow {
+                state: ActiveFault::new(fault),
+                owner,
+                diverged: Cell::new(false),
+            });
+        }
+        // Stable, so one owner's shadows on a net keep their order.
+        self.shadows.entries.sort_by_key(|s| s.state.fault.net);
+        self.shadows.reindex(self.values.len());
+        self.activate_shadows();
+        self.refresh_overlay();
+    }
+
+    /// The owners of every shadow that has diverged, in table order (an
+    /// owner of several diverged shadows appears once per shadow).
+    pub fn diverged_shadow_owners(&self) -> impl Iterator<Item = usize> + '_ {
+        self.shadows
+            .entries
+            .iter()
+            .filter(|s| s.diverged.get())
+            .map(|s| s.owner)
+    }
+
+    /// Disarm every shadow whose owner `retire` selects.
+    pub fn retire_shadows(&mut self, mut retire: impl FnMut(usize) -> bool) {
+        self.shadows.entries.retain(|s| !retire(s.owner));
+        self.shadows.reindex(self.values.len());
+        self.refresh_overlay();
+    }
+
+    /// The armed shadows, with their activation state.
+    pub fn shadows(&self) -> &ShadowTable {
+        &self.shadows
+    }
+
+    /// Replace the armed shadows with a table saved from this pool (or
+    /// one with the same nets), e.g. after [`NetPool::restore`] put the
+    /// values back to the instant the table was saved at.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a fault or bridge is injected, or the table indexes a
+    /// different net population.
+    pub fn set_shadows(&mut self, table: &ShadowTable) {
+        assert!(self.is_fault_free(), "faults and shadows do not mix");
+        assert!(
+            table.is_empty() || table.first.len() == self.values.len(),
+            "shadow table net population mismatch"
+        );
+        self.shadows.clone_from(table);
+        self.refresh_overlay();
+    }
+
+    /// Inject, as real faults, the shadows of `owner` in `table` (saved
+    /// from this pool at the current clock), carrying their state: an
+    /// open line that had already activated keeps the bit it captured
+    /// then, which the raw value may no longer hold. Every other fault is
+    /// injected afresh, since a stuck-at or intermittent fault has no
+    /// state and a transient or burst fault diverges at activation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if shadows are armed on this pool.
+    pub fn inject_shadowed(&mut self, table: &ShadowTable, owner: usize) {
+        for shadow in table.entries.iter().filter(|s| s.owner == owner) {
+            if shadow.state.active && shadow.state.fault.kind == FaultKind::OpenLine {
+                assert!(self.shadows.is_empty(), "faults and shadows do not mix");
+                self.faults.push(shadow.state);
+                self.refresh_overlay();
+            } else {
+                self.inject(shadow.state.fault);
+            }
+        }
+    }
+
+    /// Activate every inactive shadow whose injection instant the clock
+    /// has reached: an open line captures its bit, and a transient or
+    /// burst fault diverges, because it would flip the stored value.
+    fn activate_shadows(&mut self) {
+        let values = &self.values;
+        for shadow in &mut self.shadows.entries {
+            let f = &mut shadow.state;
+            if f.active || self.cycle < f.fault.from_cycle {
+                continue;
+            }
+            f.active = true;
+            match f.fault.kind {
+                FaultKind::OpenLine => {
+                    f.held = values[f.fault.net.0 as usize] & (1 << f.fault.bit) != 0;
+                }
+                FaultKind::TransientFlip | FaultKind::TransientBurst { .. } => {
+                    shadow.diverged.set(true);
+                }
+                _ => {}
+            }
+        }
+        self.shadows.reindex_activation();
     }
 
     /// Capture the raw values and the clock (see [`PoolCheckpoint`] for
@@ -314,6 +633,13 @@ impl<T> NetPool<T> {
             values: self.values.clone(),
             cycle: self.cycle,
         }
+    }
+
+    /// [`NetPool::checkpoint`] into an existing checkpoint, reusing its
+    /// allocation.
+    pub fn checkpoint_into(&self, into: &mut PoolCheckpoint) {
+        into.values.clone_from(&self.values);
+        into.cycle = self.cycle;
     }
 
     /// Restore a [`checkpoint`](NetPool::checkpoint): raw values and clock
@@ -337,8 +663,9 @@ impl<T> NetPool<T> {
     }
 
     /// Start recording, per net, the cycle of its most recent read
-    /// (clearing any previous recording). Sends every read down the general
-    /// path, so it is only switched on for golden-reference runs.
+    /// (clearing any previous recording). Alone, the tracker costs a read
+    /// one store; beside a fault it sends every read down the general
+    /// path. Switched on for golden-reference runs.
     pub fn enable_read_tracking(&mut self) {
         self.last_read = Some(vec![Cell::new(NEVER_READ); self.values.len()]);
         self.refresh_overlay();
@@ -385,10 +712,13 @@ impl<T> NetPool<T> {
         }
     }
 
-    /// Remove all faults and bridges (the underlying raw values remain).
+    /// Remove all faults, bridges and shadows (the underlying raw values
+    /// remain).
     pub fn clear_faults(&mut self) {
         self.faults.clear();
         self.bridges.clear();
+        self.shadows.entries.clear();
+        self.shadows.reindex(self.values.len());
         self.refresh_overlay();
     }
 
@@ -479,6 +809,9 @@ impl<T> NetPool<T> {
                 *active = true;
             }
         }
+        if self.cycle >= self.shadows.next_activation {
+            self.activate_shadows();
+        }
     }
 
     /// Advance the clock by `n` cycles at once (used by multi-cycle
@@ -494,7 +827,7 @@ impl<T> NetPool<T> {
                 .faults
                 .iter()
                 .filter_map(ActiveFault::next_event)
-                .fold(end, u64::min);
+                .fold(end.min(self.shadows.next_activation), u64::min);
             debug_assert!(next > self.cycle, "a due fault event was not applied");
             self.cycle = next - 1;
             self.tick();
@@ -511,6 +844,7 @@ impl<T: fmt::Debug> fmt::Display for NetMeta<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     #[test]
     fn declare_read_write() {
@@ -904,6 +1238,40 @@ mod tests {
     }
 
     #[test]
+    fn accepts_exactly_the_faults_inject_takes() {
+        let mut pool: NetPool<()> = NetPool::new();
+        let n = pool.net("n", 4, ());
+        let fault = |net, bit, kind| Fault {
+            net,
+            bit,
+            kind,
+            from_cycle: 0,
+        };
+        let bad_intermittent = FaultKind::IntermittentStuck {
+            level: true,
+            period: 4,
+            duty: 5,
+            phase: 0,
+        };
+        assert!(pool.accepts(&fault(n, 3, FaultKind::StuckAt1)));
+        assert!(!pool.accepts(&fault(n, 4, FaultKind::StuckAt1)));
+        assert!(!pool.accepts(&fault(NetId::from_raw(1), 0, FaultKind::StuckAt1)));
+        assert!(!pool.accepts(&fault(n, 0, bad_intermittent)));
+        for refused in [
+            fault(n, 4, FaultKind::StuckAt1),
+            fault(NetId::from_raw(1), 0, FaultKind::StuckAt1),
+            fault(n, 0, bad_intermittent),
+        ] {
+            let mut injected = pool.clone();
+            let inject = catch_unwind(AssertUnwindSafe(|| injected.inject(refused)));
+            assert!(inject.is_err(), "inject took a refused fault");
+            let mut armed = pool.clone();
+            let arm = catch_unwind(AssertUnwindSafe(|| armed.arm_shadows([(refused, 0)])));
+            assert!(arm.is_err(), "arm_shadows took a refused fault");
+        }
+    }
+
+    #[test]
     fn read_tracking_records_last_read_cycle() {
         let mut pool: NetPool<()> = NetPool::new();
         let a = pool.net("a", 4, ());
@@ -1109,6 +1477,309 @@ mod tests {
             });
         }
         assert_batch_matches_single_ticks(&pool, 10);
+    }
+
+    #[test]
+    fn tracking_alone_overlay_returns_after_a_fault_is_cleared() {
+        let mut pool: NetPool<()> = NetPool::new();
+        let n = pool.net("n", 4, ());
+        pool.enable_read_tracking();
+        assert_eq!(pool.overlay, Overlay::Track);
+        pool.write(n, 5);
+        pool.tick();
+        assert_eq!(pool.read(n), 5);
+        assert_eq!(pool.last_read_cycle(n), Some(1));
+        pool.inject(Fault {
+            net: n,
+            bit: 1,
+            kind: FaultKind::StuckAt1,
+            from_cycle: 0,
+        });
+        assert_eq!(pool.overlay, Overlay::Any);
+        assert_eq!(pool.read(n), 7);
+        pool.clear_faults();
+        assert_eq!(pool.overlay, Overlay::Track);
+        pool.tick();
+        assert_eq!(pool.read(n), 5);
+        assert_eq!(pool.last_read_cycle(n), Some(2));
+        pool.disable_read_tracking();
+        assert_eq!(pool.overlay, Overlay::None);
+    }
+
+    fn diverged(pool: &NetPool<()>) -> Vec<usize> {
+        pool.diverged_shadow_owners().collect()
+    }
+
+    #[test]
+    fn a_saved_shadow_table_is_refilled_in_its_own_buffers() {
+        let mut pool: NetPool<()> = NetPool::new();
+        let n = pool.net("n", 4, ());
+        pool.write(n, 0b0100);
+        pool.arm_shadows((0..3).map(|owner| {
+            let fault = Fault {
+                net: n,
+                bit: 2,
+                kind: FaultKind::OpenLine,
+                from_cycle: 2 + owner as u64,
+            };
+            (fault, owner)
+        }));
+        let mut saved = pool.shadows().clone();
+        let buffers = (saved.entries.as_ptr(), saved.first.as_ptr());
+        pool.tick_many(3);
+        saved.clone_from(pool.shadows());
+        assert_eq!((saved.entries.as_ptr(), saved.first.as_ptr()), buffers);
+        assert_eq!(saved.next_activation, 4);
+        let active: Vec<bool> = saved.entries.iter().map(|s| s.state.active).collect();
+        assert_eq!(active, [true, true, false]);
+        assert_eq!(saved.first, pool.shadows().first);
+    }
+
+    #[test]
+    fn shadows_never_change_a_read() {
+        let mut pool: NetPool<()> = NetPool::new();
+        let n = pool.net("n", 4, ());
+        let m = pool.net("m", 4, ());
+        let kinds = [
+            FaultKind::StuckAt0,
+            FaultKind::StuckAt1,
+            FaultKind::OpenLine,
+            FaultKind::TransientFlip,
+            FaultKind::IntermittentStuck {
+                level: true,
+                period: 3,
+                duty: 1,
+                phase: 0,
+            },
+            FaultKind::TransientBurst {
+                flips: 2,
+                spacing: 2,
+            },
+        ];
+        pool.arm_shadows(kinds.iter().enumerate().map(|(owner, &kind)| {
+            let fault = Fault {
+                net: n,
+                bit: (owner % 4) as u8,
+                kind,
+                from_cycle: 1,
+            };
+            (fault, owner)
+        }));
+        assert_eq!(pool.overlay, Overlay::Shadow);
+        assert!(pool.is_fault_free(), "shadows are not faults");
+        for step in 0..12u32 {
+            pool.write(n, step & 0xf);
+            pool.write(m, !step);
+            assert_eq!(pool.read(n), step & 0xf);
+            assert_eq!(pool.read(m), !step & 0xf);
+            pool.tick_many(u64::from(step % 3));
+        }
+        assert_eq!(pool.evaluate_all(), 11 + (!11u32 & 0xf));
+    }
+
+    #[test]
+    fn a_shadow_diverges_at_exactly_its_first_differing_read() {
+        let mut pool: NetPool<()> = NetPool::new();
+        let n = pool.net("n", 4, ());
+        let other = pool.net("other", 4, ());
+        pool.write(n, 0b0100);
+        pool.arm_shadows([
+            (
+                Fault {
+                    net: n,
+                    bit: 2,
+                    kind: FaultKind::StuckAt1,
+                    from_cycle: 0,
+                },
+                7,
+            ),
+            (
+                Fault {
+                    net: n,
+                    bit: 0,
+                    kind: FaultKind::OpenLine,
+                    from_cycle: 2,
+                },
+                9,
+            ),
+        ]);
+        // The stuck bit already holds 1: reading it changes nothing.
+        pool.read(n);
+        pool.write(other, 0);
+        pool.read(other);
+        assert_eq!(diverged(&pool), Vec::<usize>::new());
+        // Clearing the bit without a read is not a divergence either.
+        pool.write(n, 0b0001);
+        assert_eq!(diverged(&pool), Vec::<usize>::new());
+        assert_eq!(pool.read(n), 0b0001, "the read stays raw");
+        assert_eq!(diverged(&pool), vec![7]);
+        // The open line captures 1 at cycle 2; the raw bit stays 1 on
+        // later reads, then drops without a read, then a read sees it.
+        pool.tick_many(3);
+        pool.read(n);
+        assert_eq!(diverged(&pool), vec![7]);
+        pool.write(n, 0);
+        pool.tick();
+        assert_eq!(diverged(&pool), vec![7]);
+        pool.read(n);
+        assert_eq!(
+            diverged(&pool),
+            vec![7, 9],
+            "table order is by net, then arming"
+        );
+        pool.retire_shadows(|owner| owner == 7);
+        assert_eq!(diverged(&pool), vec![9]);
+        pool.retire_shadows(|_| true);
+        assert_eq!(pool.overlay, Overlay::None);
+    }
+
+    #[test]
+    fn intermittent_shadows_diverge_only_while_asserted() {
+        let mut pool: NetPool<()> = NetPool::new();
+        let n = pool.net("n", 1, ());
+        pool.arm_shadows([(
+            Fault {
+                net: n,
+                bit: 0,
+                kind: FaultKind::IntermittentStuck {
+                    level: true,
+                    period: 4,
+                    duty: 1,
+                    phase: 0,
+                },
+                from_cycle: 1,
+            },
+            0,
+        )]);
+        for _ in 0..3 {
+            pool.tick();
+            pool.read(n);
+            // Asserted at cycle 1 only: the first read already differs.
+            assert_eq!(diverged(&pool), vec![0]);
+        }
+        let mut late: NetPool<()> = NetPool::new();
+        let n = late.net("n", 1, ());
+        late.arm_shadows([(
+            Fault {
+                net: n,
+                bit: 0,
+                kind: FaultKind::IntermittentStuck {
+                    level: true,
+                    period: 4,
+                    duty: 1,
+                    phase: 1,
+                },
+                from_cycle: 1,
+            },
+            0,
+        )]);
+        // Released on cycles 1..=3 (phase 1), asserted on cycle 4.
+        for _ in 0..3 {
+            late.tick();
+            late.read(n);
+            assert_eq!(diverged(&late), Vec::<usize>::new());
+        }
+        late.tick();
+        late.read(n);
+        assert_eq!(diverged(&late), vec![0]);
+    }
+
+    #[test]
+    fn transient_and_burst_shadows_diverge_at_activation() {
+        for kind in [
+            FaultKind::TransientFlip,
+            FaultKind::TransientBurst {
+                flips: 3,
+                spacing: 2,
+            },
+        ] {
+            let mut pool: NetPool<()> = NetPool::new();
+            let n = pool.net("n", 2, ());
+            pool.write(n, 0b10);
+            pool.arm_shadows([(
+                Fault {
+                    net: n,
+                    bit: 1,
+                    kind,
+                    from_cycle: 5,
+                },
+                3,
+            )]);
+            pool.tick_many(4);
+            assert_eq!(diverged(&pool), Vec::<usize>::new(), "{kind}");
+            // No read of the net at all: the flip itself is the divergence.
+            pool.tick_many(3);
+            assert_eq!(diverged(&pool), vec![3], "{kind}");
+            assert_eq!(pool.read(n), 0b10, "{kind}: the stored value is untouched");
+            // Armed past its instant, it diverges on arming.
+            let mut past: NetPool<()> = NetPool::new();
+            let m = past.net("m", 2, ());
+            past.tick_many(9);
+            past.arm_shadows([(
+                Fault {
+                    net: m,
+                    bit: 0,
+                    kind,
+                    from_cycle: 5,
+                },
+                1,
+            )]);
+            assert_eq!(diverged(&past), vec![1], "{kind}");
+        }
+    }
+
+    #[test]
+    fn a_carried_open_line_keeps_the_bit_it_captured() {
+        // The open line captures 1 at cycle 2; the raw bit then drops
+        // without a read. A fault injected from the saved table at cycle 4
+        // must hold 1, where a fresh injection would capture 0.
+        let mut pool: NetPool<()> = NetPool::new();
+        let n = pool.net("n", 1, ());
+        pool.write(n, 1);
+        let fault = Fault {
+            net: n,
+            bit: 0,
+            kind: FaultKind::OpenLine,
+            from_cycle: 2,
+        };
+        pool.arm_shadows([(fault, 0)]);
+        pool.tick_many(3);
+        pool.write(n, 0);
+        pool.tick();
+        let saved = pool.checkpoint();
+        let table = pool.shadows().clone();
+        pool.restore(&saved);
+        assert!(pool.shadows().is_empty(), "restore disarms the shadows");
+        let mut fresh = pool.clone();
+        pool.inject_shadowed(&table, 0);
+        assert_eq!(pool.read(n), 1, "carried");
+        fresh.inject(fault);
+        assert_eq!(
+            fresh.read(n),
+            0,
+            "a fresh injection captures the current raw bit"
+        );
+        // Shadows put back over the restored values resume where they were.
+        let mut resumed = fresh.clone();
+        resumed.clear_faults();
+        resumed.set_shadows(&table);
+        resumed.read(n);
+        assert_eq!(diverged(&resumed), vec![0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "do not mix")]
+    fn faults_and_shadows_do_not_mix() {
+        let mut pool: NetPool<()> = NetPool::new();
+        let n = pool.net("n", 1, ());
+        let fault = Fault {
+            net: n,
+            bit: 0,
+            kind: FaultKind::StuckAt0,
+            from_cycle: 0,
+        };
+        pool.arm_shadows([(fault, 0)]);
+        pool.inject(fault);
     }
 
     #[test]
