@@ -7,7 +7,9 @@
 //! only). Full re-execution is the per-density baseline; the dense case
 //! is the ISSUE acceptance number (>= 2x jobs/sec over re-execution).
 
-use fault_inject::{Campaign, CampaignStats, Execution, GoldenRun, InjectionInstant, Target};
+use fault_inject::{
+    Campaign, CampaignStats, ExecOptions, Execution, GoldenRun, InjectionInstant, Target,
+};
 use rtl_sim::FaultKind;
 use std::time::Instant;
 use workloads::{Benchmark, Params};
@@ -30,10 +32,14 @@ fn instants(density: usize) -> Vec<InjectionInstant> {
 
 fn run_sweep(campaign: &Campaign, density: usize, threads: usize) -> Sweep {
     let instants = instants(density);
+    let options = ExecOptions {
+        instants: Some(&instants),
+        ..ExecOptions::default()
+    };
     // Warm-up, then measure.
-    let _ = campaign.try_run_multi(threads, &instants).expect("sweep");
+    let _ = campaign.execute(threads, &options).expect("sweep");
     let start = Instant::now();
-    let results = campaign.try_run_multi(threads, &instants).expect("sweep");
+    let results = campaign.execute(threads, &options).expect("sweep");
     let seconds = start.elapsed().as_secs_f64();
     let mut stats = CampaignStats::default();
     for r in &results {

@@ -68,7 +68,7 @@ pub fn config_from_env() -> ExperimentConfig {
 pub mod gate {
     use fault_inject::wire::Json;
     use fault_inject::{
-        merge_correlation_shards, Campaign, CorrelationSpec, Execution, GoldenRun,
+        merge_correlation_shards, Campaign, CorrelationSpec, ExecOptions, Execution, GoldenRun,
         InjectionInstant, Target,
     };
     use leon3_model::Leon3Config;
@@ -201,11 +201,11 @@ pub mod gate {
         threads: usize,
         perturb: f64,
     ) -> Result<Vec<String>, Vec<String>> {
-        check_cases(bench_json, "campaign_engine", |name| {
+        check_cases(bench_json, "campaign_engine", None, |name| {
             CASES
                 .iter()
                 .find(|c| c.name == name)
-                .map(|case| measure(case, threads).cycles_ratio() * perturb)
+                .map(|case| (measure(case, threads).cycles_ratio() * perturb, None))
         })
     }
 
@@ -256,14 +256,18 @@ pub mod gate {
         let sum = |results: Vec<fault_inject::CampaignResult>| -> u64 {
             results.iter().map(|r| r.stats().cycles_simulated).sum()
         };
+        let options = ExecOptions {
+            instants: Some(&instants),
+            ..ExecOptions::default()
+        };
         let fork = base
             .clone()
             .with_execution(Execution::Fork)
-            .try_run_multi(threads, &instants)
+            .execute(threads, &options)
             .expect("checkpoint gate sweep is statically valid");
         let full = base
             .with_execution(Execution::FullReexecution)
-            .try_run_multi(threads, &instants)
+            .execute(threads, &options)
             .expect("checkpoint gate sweep is statically valid");
         GateMeasurement {
             name: CHECKPOINT_CASE,
@@ -288,8 +292,9 @@ pub mod gate {
         threads: usize,
         perturb: f64,
     ) -> Result<Vec<String>, Vec<String>> {
-        check_cases(bench_json, "checkpoint_tree", |name| {
-            (name == CHECKPOINT_CASE).then(|| measure_checkpoint(threads).cycles_ratio() * perturb)
+        check_cases(bench_json, "checkpoint_tree", None, |name| {
+            (name == CHECKPOINT_CASE)
+                .then(|| (measure_checkpoint(threads).cycles_ratio() * perturb, None))
         })
     }
 
@@ -409,67 +414,26 @@ pub mod gate {
         threads: usize,
         perturb: f64,
     ) -> Result<Vec<String>, Vec<String>> {
-        let v = Json::parse(bench_json).map_err(|e| vec![format!("baseline unreadable: {e}")])?;
-        let gate = v.get("gate").ok_or_else(|| {
-            vec!["baseline has no `gate` section (re-run the correlation_sweep bench)".to_string()]
-        })?;
-        let tolerance = gate
-            .get_f64("tolerance")
-            .ok_or_else(|| vec!["gate section has no `tolerance`".to_string()])?;
-        let r2_floor = gate
-            .get_f64("r2_floor")
-            .ok_or_else(|| vec!["gate section has no `r2_floor`".to_string()])?;
-        let cases = gate
-            .get_array("cases")
-            .ok_or_else(|| vec!["gate section has no `cases`".to_string()])?;
-        let mut report = Vec::new();
-        let mut failures = Vec::new();
-        for entry in cases {
-            let Some(name) = entry.get_str("name") else {
-                failures.push("gate case without a name".to_string());
-                continue;
-            };
-            let Some(baseline) = entry.get_f64("cycles_ratio") else {
-                failures.push(format!("gate case `{name}` has no cycles_ratio"));
-                continue;
-            };
-            if name != CORRELATION_CASE {
-                failures.push(format!("gate case `{name}` is unknown to this binary"));
-                continue;
-            }
-            let m = measure_correlation(threads);
-            let ratio = m.cycles_ratio() * perturb;
-            let r2 = m.r2 / perturb;
-            let limit = baseline * (1.0 + tolerance);
-            let ratio_line = format!(
-                "{name}: cycles_ratio {ratio:.4} vs baseline {baseline:.4} (limit {limit:.4})"
-            );
-            if ratio > limit {
-                failures.push(format!("REGRESSION {ratio_line}"));
-            } else {
-                report.push(format!("ok {ratio_line}"));
-            }
-            let r2_line = format!("{name}: r2 {r2:.4} (floor {r2_floor:.4})");
-            if r2 < r2_floor {
-                failures.push(format!("REGRESSION {r2_line}"));
-            } else {
-                report.push(format!("ok {r2_line}"));
-            }
-        }
-        if failures.is_empty() {
-            Ok(report)
-        } else {
-            Err(failures)
-        }
+        check_cases(bench_json, "correlation_sweep", Some("r2"), |name| {
+            (name == CORRELATION_CASE).then(|| {
+                let m = measure_correlation(threads);
+                (m.cycles_ratio() * perturb, Some(m.r2 / perturb))
+            })
+        })
     }
 
     /// Shared gate walk: parse a baseline's `gate` section and compare
-    /// each committed case against `measure_ratio` (which returns `None`
-    /// for names unknown to this binary).
+    /// each committed case against `measure` (which returns `None` for
+    /// names unknown to this binary). A case's measured cycle ratio must
+    /// stay within the baseline's tolerance. With `floored`, a gate also
+    /// holds the named quantity (e.g. `r2`) of every case to the floor its
+    /// section commits under `<quantity>_floor`; `measure` returns that
+    /// quantity's value alongside the ratio.
     fn check_cases(
         bench_json: &str,
         source_bench: &str,
-        measure_ratio: impl Fn(&str) -> Option<f64>,
+        floored: Option<&str>,
+        measure: impl Fn(&str) -> Option<(f64, Option<f64>)>,
     ) -> Result<Vec<String>, Vec<String>> {
         let v = Json::parse(bench_json).map_err(|e| vec![format!("baseline unreadable: {e}")])?;
         let gate = v.get("gate").ok_or_else(|| {
@@ -480,6 +444,16 @@ pub mod gate {
         let tolerance = gate
             .get_f64("tolerance")
             .ok_or_else(|| vec!["gate section has no `tolerance`".to_string()])?;
+        let floor = match floored {
+            Some(quantity) => {
+                let key = format!("{quantity}_floor");
+                let floor = gate
+                    .get_f64(&key)
+                    .ok_or_else(|| vec![format!("gate section has no `{key}`")])?;
+                Some((quantity, floor))
+            }
+            None => None,
+        };
         let cases = gate
             .get_array("cases")
             .ok_or_else(|| vec!["gate section has no `cases`".to_string()])?;
@@ -494,7 +468,7 @@ pub mod gate {
                 failures.push(format!("gate case `{name}` has no cycles_ratio"));
                 continue;
             };
-            let Some(measured) = measure_ratio(name) else {
+            let Some((measured, value)) = measure(name) else {
                 failures.push(format!("gate case `{name}` is unknown to this binary"));
                 continue;
             };
@@ -506,6 +480,14 @@ pub mod gate {
                 failures.push(format!("REGRESSION {line}"));
             } else {
                 report.push(format!("ok {line}"));
+            }
+            if let (Some((quantity, floor)), Some(value)) = (floor, value) {
+                let line = format!("{name}: {quantity} {value:.4} (floor {floor:.4})");
+                if value < floor {
+                    failures.push(format!("REGRESSION {line}"));
+                } else {
+                    report.push(format!("ok {line}"));
+                }
             }
         }
         if failures.is_empty() {

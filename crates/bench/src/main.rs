@@ -96,8 +96,8 @@ use correlation::extensions::{
 };
 use fault_inject::wire::{kind_from_token, kind_to_token, target_from_token, target_to_token};
 use fault_inject::{
-    Campaign, CorrelationReport, CorrelationSpec, DatasetSelection, InjectionInstant,
-    PredictRequest, SafetyConfig, StaticAnalysis, Target,
+    Campaign, CorrelationReport, CorrelationSpec, DatasetSelection, ExecOptions, InjectionInstant,
+    JournalMode, PredictRequest, SafetyConfig, StaticAnalysis, Target,
 };
 use leon3_model::{Leon3, Leon3Config};
 use rtl_sim::FaultKind;
@@ -186,17 +186,24 @@ fn run_campaign(config: &ExperimentConfig, args: &[String]) {
     if let Some(ms) = deadline_ms {
         campaign = campaign.with_deadline(Duration::from_millis(ms));
     }
-    let outcome = match (&resume, &journal) {
+    let journal = match (&resume, &journal) {
         (Some(path), _) => {
             eprintln!("[repro] resuming campaign from {}", path.display());
-            campaign.resume(threads, path)
+            JournalMode::Resume(path)
         }
         (None, Some(path)) => {
             eprintln!("[repro] journaling campaign to {}", path.display());
-            campaign.run_journaled(threads, path)
+            JournalMode::Create(path)
         }
-        (None, None) => campaign.try_run(threads),
+        (None, None) => JournalMode::None,
     };
+    let options = ExecOptions {
+        journal,
+        ..ExecOptions::default()
+    };
+    let outcome = campaign
+        .execute(threads, &options)
+        .map(|mut results| results.remove(0));
     match outcome {
         Ok(result) => {
             let stats = result.stats();

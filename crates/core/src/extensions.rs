@@ -17,8 +17,8 @@ use crate::model::{area_weights, diversity_of, unit_diversity_of, weighted_pf, D
 use analysis::pearson;
 use fault_inject::wire::kind_to_token;
 use fault_inject::{
-    arch_pf, bridge_pf, AttackTarget, BridgingCampaign, Campaign, InjectionInstant, IssCampaign,
-    Target,
+    arch_pf, bridge_pf, AttackTarget, BridgingCampaign, Campaign, ExecOptions, InjectionInstant,
+    IssCampaign, Target,
 };
 use leon3_model::{Leon3, Leon3Config};
 use rtl_sim::BridgeKind;
@@ -158,7 +158,13 @@ pub fn inject_study(
     }
     let sites = campaign.sites().len();
     let results = campaign
-        .try_run_multi(config.threads, &instants)
+        .execute(
+            config.threads,
+            &ExecOptions {
+                instants: Some(&instants),
+                ..ExecOptions::default()
+            },
+        )
         .expect("the injection study's configuration is statically valid");
     InjectStudy {
         kind,
@@ -326,7 +332,16 @@ pub fn latent_study(config: &ExperimentConfig) -> LatentStudy {
         .with_sample(config.sample_per_campaign, config.seed)
         .with_injection_fraction(0.05);
     let single = base.run(config.threads);
-    let dual = base.run_pairs(config.threads);
+    let dual = base
+        .execute(
+            config.threads,
+            &ExecOptions {
+                pairs: true,
+                ..ExecOptions::default()
+            },
+        )
+        .expect("the latent study's configuration is statically valid")
+        .remove(0);
     LatentStudy {
         single_pf: single.pf(FaultKind::StuckAt1),
         dual_pf: dual.pf(FaultKind::StuckAt1),

@@ -10,14 +10,13 @@
 //! net, or the same bit of two nets declared consecutively within one
 //! functional unit.
 
-use crate::campaign::GoldenRun;
+use crate::campaign::{observe, GoldenRun};
 use crate::result::FaultOutcome;
 use crate::sites::Target;
 use analysis::SplitMix64;
 use leon3_model::{Leon3, Leon3Config};
 use rtl_sim::{Bridge, BridgeKind, NetId};
 use sparc_asm::Program;
-use sparc_iss::{Exit, StepEvent};
 
 /// One bridging injection record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -142,61 +141,13 @@ impl BridgingCampaign {
     }
 }
 
+/// Classify one short the way a campaign classifies a fault injected at
+/// cycle 0: run from reset, comparing the write stream online.
 fn run_one(cpu: &mut Leon3, program: &Program, golden: &GoldenRun, bridge: Bridge) -> FaultOutcome {
     cpu.reset();
     cpu.load(program);
     cpu.inject_bridge(bridge);
-    let budget = golden.instructions * 2 + 10_000;
-    let mut executed = 0u64;
-    let mut checked = 0usize;
-    loop {
-        let event = cpu.step();
-        executed += 1;
-        let writes = cpu.bus_trace().events();
-        while checked < writes.len() {
-            let w = &writes[checked];
-            match golden.writes.get(checked) {
-                Some(g) if w.same_payload(g) => checked += 1,
-                _ => {
-                    return FaultOutcome::Failure {
-                        divergence: checked,
-                        latency_cycles: w.at,
-                    }
-                }
-            }
-        }
-        if event == StepEvent::Stopped {
-            break;
-        }
-        if executed >= budget {
-            return FaultOutcome::Hang {
-                latency_cycles: cpu.cycles(),
-            };
-        }
-    }
-    match cpu.exit() {
-        Some(Exit::Halted(code)) => {
-            if checked < golden.writes.len() {
-                FaultOutcome::Failure {
-                    divergence: checked,
-                    latency_cycles: golden.writes[checked].at,
-                }
-            } else if code != golden.exit_code {
-                FaultOutcome::Failure {
-                    divergence: checked,
-                    latency_cycles: cpu.cycles(),
-                }
-            } else {
-                FaultOutcome::NoEffect
-            }
-        }
-        Some(Exit::ErrorMode(_)) => FaultOutcome::ErrorModeStop {
-            latency_cycles: cpu.cycles(),
-        },
-        None => FaultOutcome::Hang {
-            latency_cycles: cpu.cycles(),
-        },
-    }
+    observe(cpu, golden, 0, 0, 0, None).outcome
 }
 
 /// `Pf` over a set of bridging records, optionally filtered by kind.
@@ -263,6 +214,35 @@ mod tests {
         let or_pf = bridge_pf(&records, Some(BridgeKind::WiredOr));
         assert!((0.0..=1.0).contains(&and_pf));
         assert!((0.0..=1.0).contains(&or_pf));
+    }
+
+    #[test]
+    fn records_match_the_recorded_sample() {
+        // Intbench's IU under 200 sampled pairs reaches every outcome
+        // class. The counts and the FNV-1a digest over the records'
+        // `Debug` lines were recorded from this sample; any change to a
+        // record changes the digest.
+        let program = workloads::Benchmark::Intbench.program(&workloads::Params::default());
+        let records = BridgingCampaign::new(program, Target::IntegerUnit)
+            .with_sample(200, 0xB71D)
+            .run(2);
+        let mut counts = [0usize; 4];
+        let mut digest = crate::journal::FNV_OFFSET;
+        for r in &records {
+            counts[match r.outcome {
+                FaultOutcome::NoEffect => 0,
+                FaultOutcome::Failure { .. } => 1,
+                FaultOutcome::ErrorModeStop { .. } => 2,
+                _ => 3,
+            }] += 1;
+            digest = crate::journal::fnv1a64(digest, format!("{r:?}\n").as_bytes());
+        }
+        assert_eq!(
+            counts,
+            [354, 38, 7, 1],
+            "no effect / failure / error mode / hang"
+        );
+        assert_eq!(digest, 0x8380_f11e_063c_1abe);
     }
 
     #[test]

@@ -45,15 +45,19 @@
 //!   sweep window) on top of the architectural cycle budget; overruns
 //!   classify as [`FaultOutcome::Hang`] and are counted in
 //!   `CampaignStats::timed_out`;
-//! * **write-ahead result journal** — [`Campaign::run_journaled`] appends
-//!   one flushed JSONL line per completed job, and [`Campaign::resume`]
+//! * **write-ahead result journal** — [`JournalMode::Create`] appends one
+//!   flushed JSONL line per completed job, and [`JournalMode::Resume`]
 //!   validates the journal header (workload hash, configuration
 //!   fingerprint, job universe), replays completed jobs and simulates only
 //!   the rest, reconstituting a bit-identical [`CampaignResult`];
 //! * **structured configuration errors** — invalid configurations surface
-//!   as [`CampaignError`] from the `try_*` entry points instead of
-//!   panicking ([`Campaign::run`] keeps the panicking contract for
-//!   existing callers).
+//!   as [`CampaignError`] from [`Campaign::execute`] and
+//!   [`Campaign::try_run`] instead of panicking ([`Campaign::run`] keeps
+//!   the panicking contract for existing callers).
+//!
+//! [`Campaign::execute`] is the one pipeline: its [`ExecOptions`] choose
+//! the injection instants, single or dual-point faults, the journal, and
+//! whether to reuse a [`PreparedWorkload`]'s golden run.
 
 use crate::error::{CampaignError, JournalError};
 use crate::journal::{self, fnv1a64, Entry, Header, Journal, FNV_OFFSET};
@@ -552,31 +556,33 @@ impl Campaign {
             .unwrap_or_else(|e| panic!("invalid campaign: {e}"))
     }
 
-    /// Run the campaign, reporting configuration mistakes as
-    /// [`CampaignError`] instead of panicking.
+    /// [`Campaign::execute`] with the default [`ExecOptions`]: the
+    /// campaign's own injection instant, single faults, no journal and a
+    /// freshly captured golden run.
     ///
     /// # Errors
     ///
-    /// Fails on zero threads, an empty fault-model list, an empty fault
-    /// list, or an injection fraction outside `[0, 1]`.
+    /// As [`Campaign::execute`].
     ///
     /// # Panics
     ///
     /// Panics if the golden run does not halt (a workload bug, not a
     /// configuration error).
     pub fn try_run(&self, threads: usize) -> Result<CampaignResult, CampaignError> {
-        self.run_listed(threads, false, JournalMode::None, None)
+        self.execute(threads, &ExecOptions::default())
+            .map(|mut results| results.remove(0))
     }
 
     /// Capture this campaign's golden run once for reuse across many
     /// campaigns over the same workload (e.g. a service sweeping fault
     /// kinds or instants over one benchmark). The preparation pins the
     /// workload image and the classification platform configuration;
-    /// [`Campaign::try_run_prepared`] refuses a mismatch.
+    /// [`ExecOptions::golden`] refuses a mismatch.
     ///
     /// # Errors
     ///
-    /// Fails on the [`Campaign::try_run`] validation conditions.
+    /// Fails on the [`Campaign::execute`] validation conditions that do
+    /// not need a golden run.
     ///
     /// # Panics
     ///
@@ -591,134 +597,14 @@ impl Campaign {
         })
     }
 
-    /// [`Campaign::try_run`] reusing a [`PreparedWorkload`]'s golden run
-    /// instead of re-capturing it. The result is byte-identical to
-    /// [`Campaign::try_run`] — golden capture is never billed in
-    /// [`CampaignStats`], so only wall-clock time changes.
+    /// A multi-instant sweep with a write-ahead journal:
+    /// [`Campaign::execute`] with `instants` and [`JournalMode::Create`].
+    /// Kept as a shorthand for the repository benchmark's transient-sweep
+    /// workload.
     ///
     /// # Errors
     ///
-    /// Fails on the [`Campaign::try_run`] conditions, or
-    /// [`CampaignError::PreparedMismatch`] if `prepared` was built for a
-    /// different workload or platform configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the golden run does not halt.
-    pub fn try_run_prepared(
-        &self,
-        threads: usize,
-        prepared: &PreparedWorkload,
-    ) -> Result<CampaignResult, CampaignError> {
-        self.run_listed(threads, false, JournalMode::None, Some(prepared))
-    }
-
-    /// Dual-point variant for ISO 26262 latent-fault analysis: the sampled
-    /// site list is chained into overlapping pairs `(s0,s1), (s1,s2), …`
-    /// and both faults of a pair are present simultaneously. The record's
-    /// `site` is the pair's first site.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid (see
-    /// [`Campaign::try_run_pairs`]) or the golden run does not halt.
-    pub fn run_pairs(&self, threads: usize) -> CampaignResult {
-        self.try_run_pairs(threads)
-            .unwrap_or_else(|e| panic!("invalid campaign: {e}"))
-    }
-
-    /// Dual-point variant of [`Campaign::try_run`].
-    ///
-    /// # Errors
-    ///
-    /// Fails on the [`Campaign::try_run`] conditions, or fewer than two
-    /// sites in the fault list.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the golden run does not halt.
-    pub fn try_run_pairs(&self, threads: usize) -> Result<CampaignResult, CampaignError> {
-        self.run_listed(threads, true, JournalMode::None, None)
-    }
-
-    /// Run the campaign with a write-ahead result journal at `path`: the
-    /// file is created (truncated) with a validating header, and every
-    /// completed job appends one flushed JSONL line *before* its record is
-    /// published. A killed process loses at most the job lines in flight;
-    /// [`Campaign::resume`] picks the campaign back up.
-    ///
-    /// # Errors
-    ///
-    /// Fails on the [`Campaign::try_run`] conditions or journal I/O
-    /// errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the golden run does not halt.
-    pub fn run_journaled(
-        &self,
-        threads: usize,
-        path: &Path,
-    ) -> Result<CampaignResult, CampaignError> {
-        self.run_listed(threads, false, JournalMode::Create(path), None)
-    }
-
-    /// Resume a campaign from the write-ahead journal at `path`: the
-    /// header is validated against this campaign (workload hash,
-    /// configuration fingerprint, job universe, resolved injection
-    /// instant), completed jobs are replayed from the journal, and only
-    /// the remaining jobs are simulated — appending to the same journal,
-    /// so a resumed journal ends complete. The reconstituted
-    /// [`CampaignResult`] is bit-identical to an uninterrupted
-    /// [`Campaign::run_journaled`] (records, latencies, and stats, modulo
-    /// [`CampaignStats::resumed`]). A torn final line (the kill landed
-    /// mid-append) is dropped and its job re-run.
-    ///
-    /// # Errors
-    ///
-    /// Fails on the [`Campaign::try_run`] conditions, journal I/O or
-    /// parse errors, or a journal that does not belong to this campaign.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the golden run does not halt.
-    pub fn resume(&self, threads: usize, path: &Path) -> Result<CampaignResult, CampaignError> {
-        self.run_listed(threads, false, JournalMode::Resume(path), None)
-    }
-
-    /// Run the same fault list at several injection instants as **one**
-    /// campaign sharing one golden run and one checkpoint pool, returning
-    /// one result per instant (in order). Under [`Execution::Fork`] the
-    /// pool holds a checkpoint at (or, for a thinned dense sweep, an
-    /// ancestor of) every instant's boundary, so **no** job falls back to
-    /// full re-execution — any (site, kind, instant) forks or replays a
-    /// bounded gap, and cold sites still skip simulation entirely. The
-    /// pool-construction pass is billed to the first instant's stats.
-    ///
-    /// # Errors
-    ///
-    /// Fails on the [`Campaign::try_run`] conditions, an empty `instants`
-    /// list, or any fraction outside `[0, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the golden run does not halt.
-    pub fn try_run_multi(
-        &self,
-        threads: usize,
-        instants: &[InjectionInstant],
-    ) -> Result<Vec<CampaignResult>, CampaignError> {
-        self.run_multi(threads, instants, JournalMode::None)
-    }
-
-    /// Multi-instant variant of [`Campaign::run_journaled`]: one
-    /// write-ahead journal covers the whole sweep, with the instant list
-    /// pinned in the header (`instants`, `instants_hash`).
-    ///
-    /// # Errors
-    ///
-    /// Fails on the [`Campaign::try_run_multi`] conditions or journal I/O
-    /// errors.
+    /// As [`Campaign::execute`].
     ///
     /// # Panics
     ///
@@ -729,82 +615,96 @@ impl Campaign {
         instants: &[InjectionInstant],
         path: &Path,
     ) -> Result<Vec<CampaignResult>, CampaignError> {
-        self.run_multi(threads, instants, JournalMode::Create(path))
+        self.execute(
+            threads,
+            &ExecOptions {
+                instants: Some(instants),
+                journal: JournalMode::Create(path),
+                ..ExecOptions::default()
+            },
+        )
     }
 
-    /// Resume a multi-instant sweep from its write-ahead journal. The
-    /// header must match this campaign *and* this instant list — a sweep
-    /// over different instants, or a campaign with a different
-    /// [`Campaign::with_checkpoint_stride`], is refused with
-    /// [`JournalError::HeaderMismatch`].
+    /// Run the campaign on `threads` worker threads: the one pipeline
+    /// every other run method wraps. It validates the configuration, gets
+    /// the golden run, resolves the injection instants, plans and shards
+    /// the jobs, opens the journal, builds the checkpoint pool, classifies
+    /// every job and returns one [`CampaignResult`] per instant, in order.
+    ///
+    /// With several `instants` the fault list runs at each of them as
+    /// **one** campaign sharing one golden run and one checkpoint pool.
+    /// Under [`Execution::Fork`] the pool holds a checkpoint at (or, for a
+    /// thinned dense sweep, an ancestor of) every instant's boundary, so
+    /// no job falls back to full re-execution, and the pool-construction
+    /// pass is billed to the first instant's stats. A journal covers the
+    /// whole sweep, with the instant list pinned in its header. A reused
+    /// [`PreparedWorkload`] leaves the result byte-identical, since golden
+    /// capture is never billed in [`CampaignStats`].
     ///
     /// # Errors
     ///
-    /// Fails on the [`Campaign::try_run_multi`] conditions, journal I/O
-    /// or parse errors, or a journal that does not belong to this sweep.
+    /// Fails on zero threads, an empty fault-model list or an invalid
+    /// fault model, an empty fault list, an empty `instants` list, an
+    /// injection fraction outside `[0, 1]`, the safety, stride, shard and
+    /// audit mistakes [`CampaignError`] names, fewer than two sites for a
+    /// dual-point campaign, static analysis on a dual-point campaign, a
+    /// [`PreparedWorkload`] built for another workload or platform
+    /// configuration, journal I/O or parse errors, or a resumed journal
+    /// that does not belong to this campaign and instant list.
     ///
     /// # Panics
     ///
-    /// Panics if the golden run does not halt.
-    pub fn resume_multi(
+    /// Panics if the golden run does not halt (a workload bug, not a
+    /// configuration error).
+    pub fn execute(
         &self,
         threads: usize,
-        instants: &[InjectionInstant],
-        path: &Path,
-    ) -> Result<Vec<CampaignResult>, CampaignError> {
-        self.run_multi(threads, instants, JournalMode::Resume(path))
-    }
-
-    fn run_multi(
-        &self,
-        threads: usize,
-        instants: &[InjectionInstant],
-        journal: JournalMode<'_>,
+        options: &ExecOptions<'_>,
     ) -> Result<Vec<CampaignResult>, CampaignError> {
         self.validate(threads)?;
+        let instants = options
+            .instants
+            .unwrap_or(std::slice::from_ref(&self.injection));
         if instants.is_empty() {
             return Err(CampaignError::NoInstants);
         }
         let config = self.classification_config();
-        let golden = GoldenRun::capture(&self.program, &config);
-        self.validate_watchdog(&golden)?;
+        let captured;
+        let golden = match options.golden {
+            Some(p) => {
+                p.check(&self.program, &config)?;
+                &p.golden
+            }
+            None => {
+                captured = GoldenRun::capture(&self.program, &config);
+                &captured
+            }
+        };
+        self.validate_watchdog(golden)?;
+        if options.pairs && self.static_analysis {
+            return Err(CampaignError::StaticWithPairs);
+        }
         let cycles = instants
             .iter()
-            .map(|&instant| resolve_instant(instant, &golden))
+            .map(|&instant| resolve_instant(instant, golden))
             .collect::<Result<Vec<u64>, CampaignError>>()?;
         let sites = self.sites();
         if sites.is_empty() {
             return Err(CampaignError::NoFaultSites);
         }
-        let mut jobs = Vec::with_capacity(cycles.len() * sites.len() * self.kinds.len());
-        for (group, &injection_cycle) in cycles.iter().enumerate() {
-            for &site in &sites {
-                for &kind in &self.kinds {
-                    jobs.push(Job {
-                        sites: [site, site],
-                        n_sites: 1,
-                        kind,
-                        injection_cycle,
-                        group,
-                    });
-                }
-            }
-        }
-        let jobs = self.apply_shard(jobs);
+        let jobs = self.plan_jobs(&sites, options.pairs, &cycles)?;
         let plan = self.static_plan(&jobs);
-        let header = self.header(false, jobs.len(), &cycles, &golden);
-        let (writer, prefilled, _) = open_journal(&header, &jobs, journal)?;
-        // Per-instant resumed counts (the campaign-level `resumed` of the
-        // single-instant path, split by group).
-        let mut resumed_by_group = vec![0usize; instants.len()];
+        let header = self.header(options.pairs, jobs.len(), &cycles, golden);
+        let (writer, prefilled) = open_journal(&header, &jobs, options.journal)?;
+        let mut resumed = vec![0usize; cycles.len()];
         for (job, slot) in jobs.iter().zip(&prefilled) {
-            resumed_by_group[job.group] += usize::from(slot.is_some());
+            resumed[job.group] += usize::from(slot.is_some());
         }
-        let pool = self.build_pool(&config, &golden, &cycles);
+        let pool = self.build_pool(&config, golden, &cycles);
         let per_job = self.execute_jobs(
             threads,
             &config,
-            &golden,
+            golden,
             pool.as_ref(),
             &jobs,
             writer,
@@ -812,13 +712,16 @@ impl Campaign {
             plan.as_deref(),
         )?;
         if let Some(plan) = &plan {
-            self.run_static_audit(&config, &golden, &jobs, plan, &per_job)?;
+            self.run_static_audit(&config, golden, &jobs, plan, &per_job)?;
         }
-        let mut grouped: Vec<(Vec<FaultRecord>, CampaignStats)> = resumed_by_group
-            .iter()
-            .map(|&resumed| {
+        // Every instant gets the same share of the jobs, give or take the
+        // one a shard stride splits off.
+        let per_group = jobs.len() / cycles.len() + 1;
+        let mut grouped: Vec<(Vec<FaultRecord>, CampaignStats)> = resumed
+            .into_iter()
+            .map(|resumed| {
                 (
-                    Vec::new(),
+                    Vec::with_capacity(per_group),
                     CampaignStats {
                         golden_cycles: golden.cycles,
                         resumed,
@@ -915,82 +818,6 @@ impl Campaign {
         Ok(())
     }
 
-    /// The single-instant run path shared by `try_run`, `try_run_pairs`,
-    /// `run_journaled`, `resume` and `try_run_prepared`. When `prepared`
-    /// is given its golden run is reused instead of re-captured; the
-    /// result is byte-identical either way, since golden capture is never
-    /// billed in [`CampaignStats`].
-    fn run_listed(
-        &self,
-        threads: usize,
-        pairs: bool,
-        journal: JournalMode<'_>,
-        prepared: Option<&PreparedWorkload>,
-    ) -> Result<CampaignResult, CampaignError> {
-        self.validate(threads)?;
-        let config = self.classification_config();
-        let captured;
-        let golden = match prepared {
-            Some(p) => {
-                p.check(&self.program, &config)?;
-                &p.golden
-            }
-            None => {
-                captured = GoldenRun::capture(&self.program, &config);
-                &captured
-            }
-        };
-        self.validate_watchdog(golden)?;
-        if pairs && self.static_analysis {
-            return Err(CampaignError::StaticWithPairs);
-        }
-        let injection_cycle = resolve_instant(self.injection, golden)?;
-        let sites = self.sites();
-        if sites.is_empty() {
-            return Err(CampaignError::NoFaultSites);
-        }
-        let jobs = self.plan_jobs(&sites, pairs, injection_cycle)?;
-        let plan = self.static_plan(&jobs);
-        let header = self.header(pairs, jobs.len(), &[injection_cycle], golden);
-        let (writer, prefilled, resumed) = open_journal(&header, &jobs, journal)?;
-        let pool = self.build_pool(&config, golden, &[injection_cycle]);
-        let per_job = self.execute_jobs(
-            threads,
-            &config,
-            golden,
-            pool.as_ref(),
-            &jobs,
-            writer,
-            prefilled,
-            plan.as_deref(),
-        )?;
-        if let Some(plan) = &plan {
-            self.run_static_audit(&config, golden, &jobs, plan, &per_job)?;
-        }
-        let mut stats = CampaignStats {
-            jobs: jobs.len(),
-            golden_cycles: golden.cycles,
-            resumed,
-            ..CampaignStats::default()
-        };
-        if let Some(plan) = &plan {
-            stats.collapsed_classes = collapsed_class_count(plan, &jobs, 0);
-        }
-        if let Some(pool) = &pool {
-            // The checkpoint pool is simulated exactly once.
-            stats.prefix_cycles = pool.build_cycles();
-            stats.cycles_simulated = pool.build_cycles();
-            stats.checkpoints_taken = pool.len();
-            stats.checkpoint_bytes = pool.bytes();
-        }
-        let mut records = Vec::with_capacity(per_job.len());
-        for (record, delta) in per_job {
-            stats.merge(&delta);
-            records.push(record);
-        }
-        Ok(CampaignResult::with_stats(records, stats))
-    }
-
     /// The journal header identifying this campaign over `cycles` (one
     /// entry per resolved instant; single-instant paths pass one).
     fn header(&self, pairs: bool, jobs: usize, cycles: &[u64], golden: &GoldenRun) -> Header {
@@ -1011,45 +838,39 @@ impl Campaign {
         }
     }
 
-    /// Expand the fault list into the campaign's job universe.
+    /// Expand the fault list into the campaign's job universe: at each
+    /// instant in turn, every site (or, for pairs, every overlapping pair
+    /// of consecutive sites) under every fault model.
     fn plan_jobs(
         &self,
         sites: &[FaultSite],
         pairs: bool,
-        injection_cycle: u64,
+        cycles: &[u64],
     ) -> Result<Vec<Job>, CampaignError> {
-        let jobs: Vec<Job> = if pairs {
-            if sites.len() < 2 {
-                return Err(CampaignError::NotEnoughSitesForPairs {
-                    available: sites.len(),
-                });
-            }
-            sites
-                .windows(2)
-                .flat_map(|w| {
-                    self.kinds.iter().map(move |&kind| Job {
-                        sites: [w[0], w[1]],
-                        n_sites: 2,
-                        kind,
-                        injection_cycle,
-                        group: 0,
-                    })
-                })
-                .collect()
+        if pairs && sites.len() < 2 {
+            return Err(CampaignError::NotEnoughSitesForPairs {
+                available: sites.len(),
+            });
+        }
+        let (n_sites, chained): (usize, Vec<[FaultSite; 2]>) = if pairs {
+            (2, sites.windows(2).map(|w| [w[0], w[1]]).collect())
         } else {
-            sites
-                .iter()
-                .flat_map(|&site| {
-                    self.kinds.iter().map(move |&kind| Job {
-                        sites: [site, site],
-                        n_sites: 1,
+            (1, sites.iter().map(|&site| [site, site]).collect())
+        };
+        let mut jobs = Vec::with_capacity(cycles.len() * chained.len() * self.kinds.len());
+        for (group, &injection_cycle) in cycles.iter().enumerate() {
+            for &sites in &chained {
+                for &kind in &self.kinds {
+                    jobs.push(Job {
+                        sites,
+                        n_sites,
                         kind,
                         injection_cycle,
-                        group: 0,
-                    })
-                })
-                .collect()
-        };
+                        group,
+                    });
+                }
+            }
+        }
         Ok(self.apply_shard(jobs))
     }
 
@@ -1454,40 +1275,68 @@ impl PreparedWorkload {
     }
 }
 
-/// Where `run_listed`/`run_multi` journal to, if anywhere.
-enum JournalMode<'a> {
+/// What one [`Campaign::execute`] call runs. The [`Default`] is the
+/// campaign's own injection instant, single faults, no journal and a
+/// freshly captured golden run.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ExecOptions<'a> {
+    /// Run the fault list at each of these instants, one result per
+    /// instant in order. `None` runs at the campaign's own instant
+    /// ([`Campaign::with_injection_cycle`],
+    /// [`Campaign::with_injection_fraction`]).
+    pub instants: Option<&'a [InjectionInstant]>,
+    /// Dual-point faults for ISO 26262 latent-fault analysis: the site
+    /// list is chained into overlapping pairs `(s0,s1), (s1,s2), …` and
+    /// both faults of a pair are present at once. A record's `site` is
+    /// its pair's first site.
+    pub pairs: bool,
+    /// Where the run journals its jobs, if anywhere.
+    pub journal: JournalMode<'a>,
+    /// Reuse this golden run instead of capturing one (see
+    /// [`Campaign::prepare`]).
+    pub golden: Option<&'a PreparedWorkload>,
+}
+
+/// Where a [`Campaign::execute`] call journals its jobs, if anywhere.
+#[derive(Debug, Clone, Copy, Default)]
+pub enum JournalMode<'a> {
+    /// No journal.
+    #[default]
     None,
+    /// Create (truncate) a write-ahead journal at this path: a validating
+    /// header, then one flushed JSONL line per completed job, written
+    /// *before* its record is published. A killed process loses at most
+    /// the job lines in flight.
     Create(&'a Path),
+    /// Resume from the journal at this path. The header must match this
+    /// campaign (workload hash, configuration fingerprint, job universe,
+    /// resolved instants, checkpoint stride, fault models) or the run is
+    /// refused with [`JournalError::HeaderMismatch`]. Completed jobs are
+    /// replayed and only the rest simulated, appending to the same file,
+    /// so the result is bit-identical to an uninterrupted run (modulo
+    /// [`CampaignStats::resumed`]). A torn final line (the kill landed
+    /// mid-append) is dropped and its job re-run.
     Resume(&'a Path),
 }
 
-/// Open (or resume) the journal for `jobs`: the writer, the prefilled
-/// result slots, and how many jobs were reconstituted from disk.
+/// Open (or resume) the journal for `jobs`: the writer and the prefilled
+/// result slots.
 #[allow(clippy::type_complexity)]
 fn open_journal(
     expected: &Header,
     jobs: &[Job],
     mode: JournalMode<'_>,
-) -> Result<
-    (
-        Option<Journal>,
-        Vec<Option<(FaultRecord, CampaignStats)>>,
-        usize,
-    ),
-    CampaignError,
-> {
+) -> Result<(Option<Journal>, Vec<Option<(FaultRecord, CampaignStats)>>), CampaignError> {
     match mode {
-        JournalMode::None => Ok((None, vec![None; jobs.len()], 0)),
+        JournalMode::None => Ok((None, vec![None; jobs.len()])),
         JournalMode::Create(path) => Ok((
             Some(Journal::create(path, expected)?),
             vec![None; jobs.len()],
-            0,
         )),
         JournalMode::Resume(path) => {
             let (found, entries, truncated) = journal::read(path)?;
             check_header(expected, &found)?;
             let mut prefilled: Vec<Option<(FaultRecord, CampaignStats)>> = vec![None; jobs.len()];
-            let mut resumed = 0;
             for entry in &entries {
                 let job = jobs.get(entry.job).ok_or(JournalError::JobOutOfRange {
                     job: entry.job,
@@ -1495,9 +1344,6 @@ fn open_journal(
                 })?;
                 if entry.record.site != job.sites[0] || entry.record.kind != job.kind {
                     return Err(JournalError::JobMismatch { job: entry.job }.into());
-                }
-                if prefilled[entry.job].is_none() {
-                    resumed += 1;
                 }
                 prefilled[entry.job] = Some((entry.record.clone(), entry.delta));
             }
@@ -1515,7 +1361,7 @@ fn open_journal(
             } else {
                 Journal::open_append(path)?
             };
-            Ok((Some(writer), prefilled, resumed))
+            Ok((Some(writer), prefilled))
         }
     }
 }
@@ -1746,8 +1592,8 @@ struct Job {
     n_sites: usize,
     kind: FaultKind,
     injection_cycle: u64,
-    /// Which result bucket the job belongs to (instant index in
-    /// `try_run_multi`; always 0 for single-instant campaigns).
+    /// Which result bucket the job belongs to: the index of its instant
+    /// in [`ExecOptions::instants`] (0 for single-instant campaigns).
     group: usize,
 }
 
@@ -2178,8 +2024,8 @@ fn classify_run(cpu: &Leon3, ctx: &JobContext<'_>, job: &Job, run: &Observation)
 }
 
 /// What [`observe`] saw.
-struct Observation {
-    outcome: FaultOutcome,
+pub(crate) struct Observation {
+    pub(crate) outcome: FaultOutcome,
     /// The run was cut short at a diverging write, before the faulty core
     /// reached a halt, error-mode stop or its cycle budget.
     short_circuited: bool,
@@ -2196,7 +2042,7 @@ struct Observation {
 /// the divergence cursor when resuming from a prefix snapshot; both are 0
 /// for a run from reset. `deadline` is the cooperative wall-clock
 /// watchdog, checked every 256 steps.
-fn observe(
+pub(crate) fn observe(
     cpu: &mut Leon3,
     golden: &GoldenRun,
     injection_cycle: u64,
@@ -2550,11 +2396,17 @@ mod tests {
             .with_sample(12, 5)
             .with_kinds(&[FaultKind::StuckAt0, FaultKind::OpenLine])
             .with_injection_fraction(0.25);
-        let fork = campaign.run_pairs(4);
+        let pairs = ExecOptions {
+            pairs: true,
+            ..ExecOptions::default()
+        };
+        let fork = campaign.execute(4, &pairs).expect("valid").remove(0);
         let full = campaign
             .clone()
             .with_execution(Execution::FullReexecution)
-            .run_pairs(4);
+            .execute(4, &pairs)
+            .expect("valid")
+            .remove(0);
         assert_eq!(fork.records(), full.records());
         assert!(fork.stats().cycles_simulated < full.stats().cycles_simulated);
     }
@@ -2626,7 +2478,13 @@ mod tests {
             "{err}"
         );
         assert_eq!(
-            campaign.try_run_multi(2, &[]),
+            campaign.execute(
+                2,
+                &ExecOptions {
+                    instants: Some(&[]),
+                    ..ExecOptions::default()
+                }
+            ),
             Err(CampaignError::NoInstants)
         );
         assert!(matches!(
@@ -2636,7 +2494,13 @@ mod tests {
                     bit: 0,
                     unit: Unit::Fetch,
                 }])
-                .try_run_pairs(2),
+                .execute(
+                    2,
+                    &ExecOptions {
+                        pairs: true,
+                        ..ExecOptions::default()
+                    }
+                ),
             Err(CampaignError::NotEnoughSitesForPairs { available: 1 })
         ));
     }
@@ -2753,7 +2617,15 @@ mod tests {
             InjectionInstant::Fraction(0.2),
             InjectionInstant::Fraction(0.6),
         ];
-        let multi = campaign.try_run_multi(4, &instants).expect("valid");
+        let multi = campaign
+            .execute(
+                4,
+                &ExecOptions {
+                    instants: Some(&instants),
+                    ..ExecOptions::default()
+                },
+            )
+            .expect("valid");
         assert_eq!(multi.len(), 2);
         for (instant, result) in instants.iter().zip(&multi) {
             let single = match instant {
@@ -2790,14 +2662,18 @@ mod tests {
         let campaign = Campaign::new(program.clone(), Target::IntegerUnit).with_sample(8, 11);
         let prepared = campaign.prepare().expect("valid");
         let direct = campaign.try_run(2).expect("valid");
-        let reused = campaign.try_run_prepared(2, &prepared).expect("valid");
+        let on = ExecOptions {
+            golden: Some(&prepared),
+            ..ExecOptions::default()
+        };
+        let reused = campaign.execute(2, &on).expect("valid").remove(0);
         assert_eq!(direct.records(), reused.records());
         assert_eq!(direct.stats(), reused.stats());
         // A different platform configuration invalidates the preparation
         // (parity toggles the classification config's cmem_parity).
         let other = campaign.clone().with_parity(true);
         assert!(matches!(
-            other.try_run_prepared(2, &prepared),
+            other.execute(2, &on),
             Err(CampaignError::PreparedMismatch { field: "config" })
         ));
     }

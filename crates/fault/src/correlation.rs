@@ -21,7 +21,7 @@
 //! anywhere, and recombined with [`merge_correlation_shards`] produces a
 //! report **byte-identical** to the unsharded run's.
 
-use crate::campaign::{Campaign, InjectionInstant, PreparedWorkload};
+use crate::campaign::{Campaign, ExecOptions, InjectionInstant, PreparedWorkload};
 use crate::error::CampaignError;
 use crate::journal::{fnv1a64, FNV_OFFSET};
 use crate::result::CampaignResult;
@@ -37,6 +37,7 @@ use sparc_isa::{Opcode, Unit};
 use sparc_iss::{Iss, IssConfig, RunOutcome};
 use std::fmt;
 use std::fmt::Write as _;
+use std::sync::Arc;
 use workloads::{Benchmark, Params, DATASETS};
 
 /// Which input datasets a sweep runs per benchmark (the paper's Fig. 3
@@ -501,37 +502,64 @@ impl CorrelationSpec {
     /// Run this spec's shard of every cell, measuring each cell's ISS
     /// diversity along the way. The unsharded spec produces the single
     /// shard `0/1`; pass the result (with its siblings) to
-    /// [`merge_correlation_shards`] for the fitted report.
+    /// [`merge_correlation_shards`] for the fitted report. Captures one
+    /// golden run per cell, shared across its domains: the prepared
+    /// workload depends on the program and platform configuration, not
+    /// on where faults go.
     ///
     /// # Errors
     ///
     /// Propagates the first cell campaign's [`CampaignError`].
     pub fn run(&self, threads: usize) -> Result<CorrelationShard, CampaignError> {
+        let mut held: Option<(CorrelationCell, Arc<PreparedWorkload>)> = None;
+        self.run_with(threads, |cell, campaign| {
+            if let Some((held_cell, prepared)) = &held {
+                if held_cell == cell {
+                    return Ok(Arc::clone(prepared));
+                }
+            }
+            let prepared = Arc::new(campaign.prepare()?);
+            held = Some((*cell, Arc::clone(&prepared)));
+            Ok(prepared)
+        })
+    }
+
+    /// [`CorrelationSpec::run`] with the golden runs taken from `golden`,
+    /// which is asked once per cell campaign, in [`CorrelationSpec::jobs`]
+    /// order, for that campaign's prepared workload (a service passes its
+    /// golden cache here). The shard is byte-identical whichever source
+    /// supplies the golden runs, since golden capture is never billed.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first error of `golden` or of a cell campaign.
+    pub fn run_with(
+        &self,
+        threads: usize,
+        mut golden: impl FnMut(
+            &CorrelationCell,
+            &Campaign,
+        ) -> Result<Arc<PreparedWorkload>, CampaignError>,
+    ) -> Result<CorrelationShard, CampaignError> {
         let (index, count) = self.shard.unwrap_or((0, 1));
         let mut spec = self.clone();
         spec.shard = None;
         let cells: Vec<CellMeasurement> =
             self.cells().iter().map(CorrelationCell::measure).collect();
         let mut results = Vec::new();
-        for cell in self.cells() {
-            // One golden capture per cell, shared across its domains —
-            // the prepared workload depends on the program and platform
-            // config, not on where faults go.
-            let mut prepared: Option<PreparedWorkload> = None;
-            for &target in &self.targets {
-                let campaign = self.campaign(&cell, target);
-                if prepared.is_none() {
-                    prepared = Some(campaign.prepare()?);
-                }
-                let workload = prepared.as_ref().expect("prepared above");
-                let result = campaign.try_run_prepared(threads, workload)?;
-                results.push(ShardResult {
-                    fingerprint: campaign.fingerprint(),
-                    index,
-                    count,
-                    result,
-                });
-            }
+        for (cell, target) in self.jobs() {
+            let campaign = self.campaign(&cell, target);
+            let prepared = golden(&cell, &campaign)?;
+            let options = ExecOptions {
+                golden: Some(&prepared),
+                ..ExecOptions::default()
+            };
+            results.push(ShardResult {
+                fingerprint: campaign.fingerprint(),
+                index,
+                count,
+                result: campaign.execute(threads, &options)?.remove(0),
+            });
         }
         Ok(CorrelationShard {
             spec,

@@ -32,7 +32,7 @@ pub enum CampaignError {
         /// The offending fraction.
         fraction: f64,
     },
-    /// No injection instants were supplied to a multi-instant run.
+    /// [`crate::ExecOptions::instants`] named an empty instant list.
     NoInstants,
     /// A dual-point campaign needs at least two sampled sites.
     NotEnoughSitesForPairs {

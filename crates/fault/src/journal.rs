@@ -6,10 +6,12 @@
 //! universe, configuration fingerprint, model-observable golden facts)
 //! followed by one line per completed `(site, kind)` job carrying the
 //! record *and* the job's execution-cost delta, flushed before the result
-//! is published. `Campaign::resume` validates the header, replays the
-//! completed jobs and simulates only the remainder — reconstituting a
-//! `CampaignResult` bit-identical to an uninterrupted run (modulo the
-//! `resumed` counter).
+//! is published. `Campaign::execute` with
+//! [`JournalMode::Create`](crate::JournalMode::Create) writes it, and
+//! with [`JournalMode::Resume`](crate::JournalMode::Resume) validates the
+//! header, replays the completed jobs and simulates only the remainder —
+//! reconstituting a `CampaignResult` bit-identical to an uninterrupted
+//! run (modulo the `resumed` counter).
 //!
 //! The format is hand-rolled JSON over a deliberately tiny subset
 //! (see [`crate::wire`]) so the workspace stays hermetic — no serde, no
@@ -51,7 +53,8 @@ pub(crate) fn fnv1a64(init: u64, bytes: &[u8]) -> u64 {
 /// FNV-1a offset basis, the `init` for a fresh hash.
 pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
-/// The journal's first line: everything `resume` validates before
+/// The journal's first line: everything a resumed run
+/// ([`JournalMode::Resume`](crate::JournalMode::Resume)) validates before
 /// trusting a single record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Header {

@@ -14,7 +14,11 @@
 //!   mode remains available).
 //! * [`Campaign`] runs one workload against a fault list across all three
 //!   fault models, multi-threaded, stopping each faulty run at its first
-//!   observable divergence. The default [`Execution::Fork`] engine
+//!   observable divergence. [`Campaign::execute`] is its one entry point;
+//!   its [`ExecOptions`] choose the injection instants, single or
+//!   dual-point faults, a write-ahead journal, and a reused golden run
+//!   ([`Campaign::try_run`] and [`Campaign::run`] are single-instant
+//!   shorthands). The default [`Execution::Fork`] engine
 //!   simulates the shared fault-free prefix once, forks every job from the
 //!   resulting snapshot, and skips jobs whose nets the golden run never
 //!   exercises after the injection instant; [`CampaignStats`] accounts for
@@ -27,10 +31,10 @@
 //! (a panicking job retries once, then records as
 //! [`FaultOutcome::EngineAnomaly`] instead of aborting the campaign), an
 //! optional wall-clock watchdog ([`Campaign::with_deadline`]) bounds
-//! runaway jobs, and [`Campaign::run_journaled`] / [`Campaign::resume`]
+//! runaway jobs, and [`JournalMode::Create`] / [`JournalMode::Resume`]
 //! persist completed jobs to an append-only write-ahead [`journal`] so a
 //! killed campaign picks up where it left off. Configuration mistakes
-//! surface as structured [`CampaignError`]s from the `try_*` entry points.
+//! surface as structured [`CampaignError`]s from [`Campaign::execute`].
 //!
 //! Campaigns can additionally model the chip's **safety mechanisms**
 //! ([`SafetyConfig`]): a windowed lockstep comparator, CMEM parity and a
@@ -75,7 +79,8 @@ pub mod wire;
 
 pub use bridging::{bridge_pairs, bridge_pf, BridgeRecord, BridgingCampaign};
 pub use campaign::{
-    Campaign, Execution, GoldenRun, InjectionInstant, PreparedWorkload, MAX_POOL_CHECKPOINTS,
+    Campaign, ExecOptions, Execution, GoldenRun, InjectionInstant, JournalMode, PreparedWorkload,
+    MAX_POOL_CHECKPOINTS,
 };
 pub use correlation::{
     fitted_model_from_obj, fitted_model_to_json, merge_correlation_shards, CellMeasurement,

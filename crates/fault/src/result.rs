@@ -205,8 +205,9 @@ pub struct CampaignStats {
     /// Jobs whose retry also panicked, recorded as
     /// [`crate::FaultOutcome::EngineAnomaly`].
     pub anomalies: usize,
-    /// Jobs whose records were reconstituted from a write-ahead journal by
-    /// `Campaign::resume` instead of being simulated in this process.
+    /// Jobs whose records were reconstituted from a write-ahead journal
+    /// (a run with [`crate::JournalMode::Resume`]) instead of being
+    /// simulated in this process.
     pub resumed: usize,
     /// Jobs restored from a strict-ancestor checkpoint (the nearest one at
     /// or before their injection boundary) that replayed the gap up to the

@@ -6,8 +6,8 @@
 //! journal must resume only into the sweep that wrote it.
 
 use fault_inject::{
-    Campaign, CampaignError, Execution, GoldenRun, InjectionInstant, JournalError, Target,
-    MAX_POOL_CHECKPOINTS,
+    Campaign, CampaignError, ExecOptions, Execution, GoldenRun, InjectionInstant, JournalError,
+    JournalMode, Target, MAX_POOL_CHECKPOINTS,
 };
 use rtl_sim::FaultKind;
 use std::fs;
@@ -18,6 +18,15 @@ fn temp_path(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("fault-checkpoint-itests");
     fs::create_dir_all(&dir).expect("temp dir");
     dir.join(name)
+}
+
+/// Options for one sweep over `instants`, journaled as `journal` says.
+fn sweep<'a>(instants: &'a [InjectionInstant], journal: JournalMode<'a>) -> ExecOptions<'a> {
+    ExecOptions {
+        instants: Some(instants),
+        journal,
+        ..ExecOptions::default()
+    }
 }
 
 /// A dense sweep: one instant every ~2% of the golden run, comfortably
@@ -40,11 +49,11 @@ fn transient_campaign(target: Target, sample: usize, seed: u64) -> Campaign {
 fn assert_dense_sweep_equivalence(target: Target, seed: u64) {
     let instants = dense_instants(MAX_POOL_CHECKPOINTS + 4);
     let forked = transient_campaign(target, 4, seed)
-        .try_run_multi(4, &instants)
+        .execute(4, &sweep(&instants, JournalMode::None))
         .expect("fork sweep");
     let full = transient_campaign(target, 4, seed)
         .with_execution(Execution::FullReexecution)
-        .try_run_multi(4, &instants)
+        .execute(4, &sweep(&instants, JournalMode::None))
         .expect("full sweep");
     assert_eq!(forked.len(), instants.len());
     let mut restored_total = 0;
@@ -133,11 +142,11 @@ fn dense_intermittent_sweep_matches_full_reexecution_with_stride_grid() {
     );
     let forked = time_varying_campaign(4, 0xB7)
         .with_checkpoint_stride(golden.cycles / 8)
-        .try_run_multi(4, &instants)
+        .execute(4, &sweep(&instants, JournalMode::None))
         .expect("fork sweep");
     let full = time_varying_campaign(4, 0xB7)
         .with_execution(Execution::FullReexecution)
-        .try_run_multi(4, &instants)
+        .execute(4, &sweep(&instants, JournalMode::None))
         .expect("full sweep");
     let mut restored_total = 0;
     for (f, r) in forked.iter().zip(&full) {
@@ -173,7 +182,7 @@ fn stride_grid_shortens_replay_without_changing_records() {
     // the cost ledger (records and outcome classes stay bit-identical).
     let instants = dense_instants(MAX_POOL_CHECKPOINTS + 4);
     let plain = transient_campaign(Target::IntegerUnit, 4, 0xE5)
-        .try_run_multi(4, &instants)
+        .execute(4, &sweep(&instants, JournalMode::None))
         .expect("plain sweep");
     let golden = GoldenRun::capture(
         &Benchmark::Rspeed.program(&Params::default()),
@@ -181,7 +190,7 @@ fn stride_grid_shortens_replay_without_changing_records() {
     );
     let strided = transient_campaign(Target::IntegerUnit, 4, 0xE5)
         .with_checkpoint_stride(golden.cycles / 8)
-        .try_run_multi(4, &instants)
+        .execute(4, &sweep(&instants, JournalMode::None))
         .expect("strided sweep");
     for (p, s) in plain.iter().zip(&strided) {
         assert_eq!(p.records(), s.records());
@@ -201,7 +210,7 @@ fn multi_instant_journal_resumes_bit_identically() {
     let campaign = transient_campaign(Target::IntegerUnit, 8, 0xF6)
         .with_kinds(&[FaultKind::TransientFlip, FaultKind::StuckAt1]);
     let uninterrupted = campaign
-        .run_multi_journaled(4, &instants, &path)
+        .execute(4, &sweep(&instants, JournalMode::Create(&path)))
         .expect("journaled sweep");
 
     // Simulate a kill: keep the header, half the entries, and a torn tail.
@@ -214,7 +223,9 @@ fn multi_instant_journal_resumes_bit_identically() {
     killed.push_str(&lines[keep][..lines[keep].len() / 2]);
     fs::write(&path, &killed).expect("truncate journal");
 
-    let resumed = campaign.resume_multi(4, &instants, &path).expect("resume");
+    let resumed = campaign
+        .execute(4, &sweep(&instants, JournalMode::Resume(&path)))
+        .expect("resume");
     assert_eq!(resumed.len(), uninterrupted.len());
     let mut resumed_jobs = 0;
     for (r, u) in resumed.iter().zip(&uninterrupted) {
@@ -225,7 +236,9 @@ fn multi_instant_journal_resumes_bit_identically() {
     assert_eq!(resumed_jobs, keep - 1, "every intact line replays");
 
     // Resuming again replays everything and simulates nothing new.
-    let replayed = campaign.resume_multi(4, &instants, &path).expect("again");
+    let replayed = campaign
+        .execute(4, &sweep(&instants, JournalMode::Resume(&path)))
+        .expect("again");
     let total: usize = replayed.iter().map(|r| r.stats().resumed).sum();
     let jobs: usize = replayed.iter().map(|r| r.stats().jobs).sum();
     assert_eq!(total, jobs);
@@ -240,7 +253,7 @@ fn resume_refuses_a_different_instant_list_or_stride() {
     ];
     let campaign = transient_campaign(Target::IntegerUnit, 6, 0xA7);
     campaign
-        .run_multi_journaled(2, &instants, &path)
+        .execute(2, &sweep(&instants, JournalMode::Create(&path)))
         .expect("journaled sweep");
 
     // Same instant count, different values: the instants hash refuses.
@@ -248,7 +261,7 @@ fn resume_refuses_a_different_instant_list_or_stride() {
         InjectionInstant::Fraction(0.3),
         InjectionInstant::Fraction(0.9),
     ];
-    match campaign.resume_multi(2, &shifted, &path) {
+    match campaign.execute(2, &sweep(&shifted, JournalMode::Resume(&path))) {
         Err(CampaignError::Journal(JournalError::HeaderMismatch { field, .. })) => {
             assert_eq!(field, "instants_hash");
         }
@@ -256,7 +269,7 @@ fn resume_refuses_a_different_instant_list_or_stride() {
     }
 
     // A different instant count changes the job universe first.
-    match campaign.resume_multi(2, &instants[..1], &path) {
+    match campaign.execute(2, &sweep(&instants[..1], JournalMode::Resume(&path))) {
         Err(CampaignError::Journal(JournalError::HeaderMismatch { field, .. })) => {
             assert_eq!(field, "jobs");
         }
@@ -268,7 +281,7 @@ fn resume_refuses_a_different_instant_list_or_stride() {
     match campaign
         .clone()
         .with_checkpoint_stride(1_000)
-        .resume_multi(2, &instants, &path)
+        .execute(2, &sweep(&instants, JournalMode::Resume(&path)))
     {
         Err(CampaignError::Journal(JournalError::HeaderMismatch { field, .. })) => {
             assert_eq!(field, "checkpoint_stride");
@@ -282,9 +295,15 @@ fn resume_refuses_a_different_instant_list_or_stride() {
     campaign
         .clone()
         .with_injection_fraction(0.3)
-        .run_journaled(2, &single)
+        .execute(
+            2,
+            &ExecOptions {
+                journal: JournalMode::Create(&single),
+                ..ExecOptions::default()
+            },
+        )
         .expect("single journal");
-    match campaign.resume_multi(2, &instants, &single) {
+    match campaign.execute(2, &sweep(&instants, JournalMode::Resume(&single))) {
         Err(CampaignError::Journal(JournalError::HeaderMismatch { .. })) => {}
         other => panic!("expected a header mismatch, got {other:?}"),
     }

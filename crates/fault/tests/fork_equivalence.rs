@@ -3,7 +3,7 @@
 //! workloads and across both injection domains — while simulating
 //! measurably fewer cycles.
 
-use fault_inject::{fault_sites, Campaign, Execution, FaultOutcome, Target};
+use fault_inject::{fault_sites, Campaign, ExecOptions, Execution, FaultOutcome, Target};
 use leon3_model::{Leon3, Leon3Config};
 use rtl_sim::FaultKind;
 use workloads::{Benchmark, Params};
@@ -81,11 +81,20 @@ fn pair_campaigns_are_equivalent_too() {
         .with_sample(8, 0x55)
         .with_kinds(&[FaultKind::StuckAt0])
         .with_injection_fraction(0.2);
-    let fork = campaign.run_pairs(4);
+    let pairs = ExecOptions {
+        pairs: true,
+        ..ExecOptions::default()
+    };
+    let fork = campaign
+        .execute(4, &pairs)
+        .expect("valid campaign")
+        .remove(0);
     let full = campaign
         .clone()
         .with_execution(Execution::FullReexecution)
-        .run_pairs(4);
+        .execute(4, &pairs)
+        .expect("valid campaign")
+        .remove(0);
     assert_eq!(fork.records(), full.records());
     assert!(fork.stats().cycles_simulated < full.stats().cycles_simulated);
 }

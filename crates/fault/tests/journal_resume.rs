@@ -3,7 +3,10 @@
 //! deliberately poisoned fault site costs one job, not the campaign; and
 //! configuration mistakes surface as structured errors, not panics.
 
-use fault_inject::{Campaign, CampaignError, FaultOutcome, FaultSite, JournalError, Target};
+use fault_inject::{
+    Campaign, CampaignError, ExecOptions, Execution, FaultOutcome, FaultSite, InjectionInstant,
+    JournalError, JournalMode, Target,
+};
 use leon3_model::{Leon3, Leon3Config};
 use rtl_sim::FaultKind;
 use sparc_isa::Unit;
@@ -15,6 +18,15 @@ fn temp_path(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("fault-journal-itests");
     fs::create_dir_all(&dir).expect("temp dir");
     dir.join(name)
+}
+
+/// Options for a run at the campaign's own instant, journaled as
+/// `journal` says.
+fn journaled(journal: JournalMode<'_>) -> ExecOptions<'_> {
+    ExecOptions {
+        journal,
+        ..ExecOptions::default()
+    }
 }
 
 fn campaign(target: Target, seed: u64) -> Campaign {
@@ -30,7 +42,10 @@ fn campaign(target: Target, seed: u64) -> Campaign {
 fn assert_kill_and_resume(target: Target, seed: u64, name: &str) {
     let path = temp_path(name);
     let campaign = campaign(target, seed);
-    let uninterrupted = campaign.run_journaled(4, &path).expect("journaled run");
+    let uninterrupted = campaign
+        .execute(4, &journaled(JournalMode::Create(&path)))
+        .expect("journaled run")
+        .remove(0);
 
     let text = fs::read_to_string(&path).expect("journal readable");
     let lines: Vec<&str> = text.lines().collect();
@@ -45,7 +60,10 @@ fn assert_kill_and_resume(target: Target, seed: u64, name: &str) {
     killed.push_str(&lines[keep][..lines[keep].len() / 2]);
     fs::write(&path, &killed).expect("truncate journal");
 
-    let resumed = campaign.resume(4, &path).expect("resume");
+    let resumed = campaign
+        .execute(4, &journaled(JournalMode::Resume(&path)))
+        .expect("resume")
+        .remove(0);
     assert_eq!(
         resumed.records(),
         uninterrupted.records(),
@@ -66,7 +84,10 @@ fn assert_kill_and_resume(target: Target, seed: u64, name: &str) {
 
     // The resumed journal is complete: resuming again replays everything
     // and simulates nothing.
-    let replayed = campaign.resume(4, &path).expect("second resume");
+    let replayed = campaign
+        .execute(4, &journaled(JournalMode::Resume(&path)))
+        .expect("second resume")
+        .remove(0);
     assert_eq!(replayed.records(), uninterrupted.records());
     assert_eq!(replayed.stats().resumed, replayed.stats().jobs);
 }
@@ -79,6 +100,70 @@ fn kill_and_resume_is_equivalent_on_iu() {
 #[test]
 fn kill_and_resume_is_equivalent_on_cmem() {
     assert_kill_and_resume(Target::CacheMemory, 0xB2, "resume-cmem.jsonl");
+}
+
+#[test]
+fn a_journaled_dual_point_sweep_on_a_prepared_golden_run_resumes_to_the_oracle() {
+    // Every execution option at once: dual-point faults at two instants,
+    // the golden run taken from `prepare()`, journaled, then killed and
+    // resumed. Each instant's records must equal full re-execution's.
+    let path = temp_path("pairs-two-instants.jsonl");
+    let campaign = campaign(Target::IntegerUnit, 0xC3);
+    let prepared = campaign.prepare().expect("valid campaign");
+    let instants = [
+        InjectionInstant::Fraction(0.2),
+        InjectionInstant::Fraction(0.6),
+    ];
+    let options = |journal| ExecOptions {
+        instants: Some(&instants),
+        pairs: true,
+        journal,
+        golden: Some(&prepared),
+    };
+    let uninterrupted = campaign
+        .execute(2, &options(JournalMode::Create(&path)))
+        .expect("journaled run");
+    let oracle = campaign
+        .clone()
+        .with_execution(Execution::FullReexecution)
+        .execute(
+            2,
+            &ExecOptions {
+                instants: Some(&instants),
+                pairs: true,
+                ..ExecOptions::default()
+            },
+        )
+        .expect("oracle run");
+    assert_eq!(uninterrupted.len(), 2);
+    for (result, full) in uninterrupted.iter().zip(&oracle) {
+        // 10 sites chain into 9 pairs, under two fault models.
+        assert_eq!(result.records().len(), 18);
+        assert_eq!(result.records(), full.records());
+    }
+
+    let text = fs::read_to_string(&path).expect("journal readable");
+    let lines: Vec<&str> = text.lines().collect();
+    let keep = 1 + (lines.len() - 1) / 2;
+    let mut killed = lines[..keep].join("\n");
+    killed.push('\n');
+    killed.push_str(&lines[keep][..lines[keep].len() / 2]);
+    fs::write(&path, &killed).expect("truncate journal");
+
+    let resumed = campaign
+        .execute(2, &options(JournalMode::Resume(&path)))
+        .expect("resume");
+    assert_eq!(
+        resumed.iter().map(|r| r.stats().resumed).sum::<usize>(),
+        keep - 1
+    );
+    for (result, live) in resumed.iter().zip(&uninterrupted) {
+        assert_eq!(result.records(), live.records());
+        let mut stats = *result.stats();
+        stats.resumed = 0;
+        assert_eq!(stats, *live.stats());
+    }
+    let _ = fs::remove_file(&path);
 }
 
 #[test]
@@ -157,10 +242,16 @@ fn poisoned_jobs_survive_the_journal_round_trip() {
         },
     ])
     .with_kinds(&[FaultKind::StuckAt1]);
-    let live = campaign.run_journaled(2, &path).expect("journaled run");
+    let live = campaign
+        .execute(2, &journaled(JournalMode::Create(&path)))
+        .expect("journaled run")
+        .remove(0);
     // A complete journal replays entirely — including the anomaly record
     // with its panic payload.
-    let replayed = campaign.resume(2, &path).expect("resume");
+    let replayed = campaign
+        .execute(2, &journaled(JournalMode::Resume(&path)))
+        .expect("resume")
+        .remove(0);
     assert_eq!(replayed.records(), live.records());
     assert_eq!(replayed.stats().resumed, 2);
 }
@@ -169,11 +260,11 @@ fn poisoned_jobs_survive_the_journal_round_trip() {
 fn resume_refuses_a_foreign_journal() {
     let path = temp_path("foreign.jsonl");
     campaign(Target::IntegerUnit, 1)
-        .run_journaled(2, &path)
+        .execute(2, &journaled(JournalMode::Create(&path)))
         .expect("journaled run");
 
     // A different sample seed is a different campaign fingerprint.
-    match campaign(Target::IntegerUnit, 2).resume(2, &path) {
+    match campaign(Target::IntegerUnit, 2).execute(2, &journaled(JournalMode::Resume(&path))) {
         Err(CampaignError::Journal(JournalError::HeaderMismatch { field, .. })) => {
             assert_eq!(field, "fingerprint");
         }
@@ -186,7 +277,7 @@ fn resume_refuses_a_foreign_journal() {
         .with_sample(10, 1)
         .with_kinds(&[FaultKind::StuckAt1, FaultKind::OpenLine])
         .with_injection_fraction(0.3);
-    match foreign.resume(2, &path) {
+    match foreign.execute(2, &journaled(JournalMode::Resume(&path))) {
         Err(CampaignError::Journal(JournalError::HeaderMismatch { field, .. })) => {
             assert_eq!(field, "workload");
         }
@@ -195,7 +286,10 @@ fn resume_refuses_a_foreign_journal() {
 
     // A missing journal is an I/O error, not a panic.
     assert!(matches!(
-        campaign(Target::IntegerUnit, 1).resume(2, &temp_path("missing.jsonl")),
+        campaign(Target::IntegerUnit, 1).execute(
+            2,
+            &journaled(JournalMode::Resume(&temp_path("missing.jsonl")))
+        ),
         Err(CampaignError::Journal(JournalError::Io { .. }))
     ));
 }
@@ -223,11 +317,11 @@ fn resume_refuses_a_foreign_fault_schedule_by_field_name() {
     };
     let path = temp_path("schedule.jsonl");
     with_kind(intermittent(100, 0))
-        .run_journaled(2, &path)
+        .execute(2, &journaled(JournalMode::Create(&path)))
         .expect("journaled run");
 
     // Same kind, different duty cycle: named down to the parameter.
-    match with_kind(intermittent(200, 0)).resume(2, &path) {
+    match with_kind(intermittent(200, 0)).execute(2, &journaled(JournalMode::Resume(&path))) {
         Err(CampaignError::Journal(JournalError::HeaderMismatch {
             field,
             expected,
@@ -239,7 +333,7 @@ fn resume_refuses_a_foreign_fault_schedule_by_field_name() {
         }
         other => panic!("expected a kinds.duty mismatch, got {other:?}"),
     }
-    match with_kind(intermittent(100, 7)).resume(2, &path) {
+    match with_kind(intermittent(100, 7)).execute(2, &journaled(JournalMode::Resume(&path))) {
         Err(CampaignError::Journal(JournalError::HeaderMismatch { field, .. })) => {
             assert_eq!(field, "kinds.phase");
         }
@@ -251,7 +345,7 @@ fn resume_refuses_a_foreign_fault_schedule_by_field_name() {
         flips: 3,
         spacing: 50,
     })
-    .resume(2, &path)
+    .execute(2, &journaled(JournalMode::Resume(&path)))
     {
         Err(CampaignError::Journal(JournalError::HeaderMismatch { field, .. })) => {
             assert_eq!(field, "kinds");
@@ -263,9 +357,9 @@ fn resume_refuses_a_foreign_fault_schedule_by_field_name() {
     let burst = |spacing: u64| FaultKind::TransientBurst { flips: 2, spacing };
     let path = temp_path("schedule-burst.jsonl");
     with_kind(burst(60))
-        .run_journaled(2, &path)
+        .execute(2, &journaled(JournalMode::Create(&path)))
         .expect("journaled run");
-    match with_kind(burst(90)).resume(2, &path) {
+    match with_kind(burst(90)).execute(2, &journaled(JournalMode::Resume(&path))) {
         Err(CampaignError::Journal(JournalError::HeaderMismatch { field, .. })) => {
             assert_eq!(field, "kinds.spacing");
         }
@@ -273,7 +367,10 @@ fn resume_refuses_a_foreign_fault_schedule_by_field_name() {
     }
 
     // And the matching schedule still resumes cleanly.
-    let resumed = with_kind(burst(60)).resume(2, &path).expect("resume");
+    let resumed = with_kind(burst(60))
+        .execute(2, &journaled(JournalMode::Resume(&path)))
+        .expect("resume")
+        .remove(0);
     assert_eq!(resumed.stats().resumed, resumed.stats().jobs);
 }
 

@@ -14,8 +14,8 @@
 //! catches the fault class it exists for.
 
 use fault_inject::{
-    Campaign, CampaignError, Detection, Execution, FaultOutcome, GoldenRun, JournalError,
-    Mechanism, SafetyConfig, Target,
+    Campaign, CampaignError, Detection, ExecOptions, Execution, FaultOutcome, GoldenRun,
+    JournalError, JournalMode, Mechanism, SafetyConfig, Target,
 };
 use leon3_model::Leon3Config;
 use rtl_sim::FaultKind;
@@ -27,6 +27,15 @@ fn temp_path(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("fault-safety-itests");
     fs::create_dir_all(&dir).expect("temp dir");
     dir.join(name)
+}
+
+/// Options for a run at the campaign's own instant, journaled as
+/// `journal` says.
+fn journaled(journal: JournalMode<'_>) -> ExecOptions<'_> {
+    ExecOptions {
+        journal,
+        ..ExecOptions::default()
+    }
 }
 
 /// The same campaign shape as the crash-safety fixtures: `rspeed`, a
@@ -236,7 +245,10 @@ fn fork_and_full_reexecution_classify_identically() {
 fn kill_and_resume_preserves_detection() {
     let path = temp_path("resume-safety.jsonl");
     let armed = campaign(Target::IntegerUnit, 0xA1).with_safety(all_mechanisms());
-    let uninterrupted = armed.run_journaled(4, &path).expect("journaled run");
+    let uninterrupted = armed
+        .execute(4, &journaled(JournalMode::Create(&path)))
+        .expect("journaled run")
+        .remove(0);
     assert!(
         uninterrupted.stats().detected() > 0,
         "the fixture must exercise detection for this test to mean anything"
@@ -250,7 +262,10 @@ fn kill_and_resume_preserves_detection() {
     killed.push_str(&lines[keep][..lines[keep].len() / 2]);
     fs::write(&path, &killed).expect("truncate journal");
 
-    let resumed = armed.resume(4, &path).expect("resume");
+    let resumed = armed
+        .execute(4, &journaled(JournalMode::Resume(&path)))
+        .expect("resume")
+        .remove(0);
     assert_eq!(resumed.records(), uninterrupted.records());
     let mut stats = *resumed.stats();
     assert_eq!(stats.resumed, keep - 1);
@@ -267,12 +282,12 @@ fn resume_refuses_a_different_safety_config() {
     let path = temp_path("foreign-safety.jsonl");
     campaign(Target::IntegerUnit, 0xA1)
         .with_safety(all_mechanisms())
-        .run_journaled(2, &path)
+        .execute(2, &journaled(JournalMode::Create(&path)))
         .expect("journaled run");
 
     // Same campaign, mechanisms disabled: the classification (and with
     // parity, the fault-site universe) would differ — refuse.
-    match campaign(Target::IntegerUnit, 0xA1).resume(2, &path) {
+    match campaign(Target::IntegerUnit, 0xA1).execute(2, &journaled(JournalMode::Resume(&path))) {
         Err(CampaignError::Journal(JournalError::HeaderMismatch { field, .. })) => {
             assert_eq!(field, "fingerprint");
         }
@@ -285,7 +300,7 @@ fn resume_refuses_a_different_safety_config() {
             lockstep_window: Some(65),
             ..all_mechanisms()
         })
-        .resume(2, &path)
+        .execute(2, &journaled(JournalMode::Resume(&path)))
     {
         Err(CampaignError::Journal(JournalError::HeaderMismatch { field, .. })) => {
             assert_eq!(field, "fingerprint");

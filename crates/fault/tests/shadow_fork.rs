@@ -6,8 +6,8 @@
 //! and burst faults that leave the sweep at activation.
 
 use fault_inject::{
-    fault_sites, sample_sites, Campaign, CampaignResult, Execution, FaultOutcome, FaultSite,
-    InjectionInstant, StaticAnalysis, Target,
+    fault_sites, sample_sites, Campaign, CampaignResult, ExecOptions, Execution, FaultOutcome,
+    FaultSite, InjectionInstant, JournalMode, StaticAnalysis, Target,
 };
 use leon3_model::{Leon3, Leon3Config};
 use rtl_sim::FaultKind;
@@ -36,11 +36,18 @@ const BURST: FaultKind = FaultKind::TransientBurst {
 /// engine's bill by exactly the one pool pass.
 fn assert_matches_oracle(campaign: &Campaign, threads: usize, pairs: bool) -> CampaignResult {
     let oracle = campaign.clone().with_execution(Execution::FullReexecution);
-    let (sweep, full) = if pairs {
-        (campaign.run_pairs(threads), oracle.run_pairs(threads))
-    } else {
-        (campaign.run(threads), oracle.run(threads))
+    let options = ExecOptions {
+        pairs,
+        ..ExecOptions::default()
     };
+    let sweep = campaign
+        .execute(threads, &options)
+        .expect("valid campaign")
+        .remove(0);
+    let full = oracle
+        .execute(threads, &options)
+        .expect("valid campaign")
+        .remove(0);
     assert_eq!(sweep.records(), full.records(), "records differ");
     let (s, f) = (sweep.stats(), full.stats());
     assert_eq!(s.jobs, f.jobs);
@@ -132,11 +139,25 @@ fn one_sweep_serves_a_multi_instant_mix_of_transient_and_permanent_faults() {
         InjectionInstant::Fraction(0.85),
     ];
     for threads in [1, 4] {
-        let sweep = campaign.try_run_multi(threads, &instants).expect("valid");
+        let sweep = campaign
+            .execute(
+                threads,
+                &ExecOptions {
+                    instants: Some(&instants),
+                    ..ExecOptions::default()
+                },
+            )
+            .expect("valid");
         let full = campaign
             .clone()
             .with_execution(Execution::FullReexecution)
-            .try_run_multi(threads, &instants)
+            .execute(
+                threads,
+                &ExecOptions {
+                    instants: Some(&instants),
+                    ..ExecOptions::default()
+                },
+            )
             .expect("valid");
         for (s, f) in sweep.iter().zip(&full) {
             assert_eq!(s.records(), f.records());
@@ -162,7 +183,16 @@ fn a_truncated_journal_resumes_to_the_oracle() {
     fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("sweep-resume.jsonl");
     let campaign = single_campaign(Benchmark::Rspeed, Target::CacheMemory, 0x5e);
-    let uninterrupted = campaign.run_journaled(1, &path).expect("journaled run");
+    let uninterrupted = campaign
+        .execute(
+            1,
+            &ExecOptions {
+                journal: JournalMode::Create(&path),
+                ..ExecOptions::default()
+            },
+        )
+        .expect("journaled run")
+        .remove(0);
     let text = fs::read_to_string(&path).expect("journal readable");
     let lines: Vec<&str> = text.lines().collect();
     let keep = 1 + (lines.len() - 1) / 3;
@@ -170,7 +200,16 @@ fn a_truncated_journal_resumes_to_the_oracle() {
     killed.push('\n');
     killed.push_str(&lines[keep][..lines[keep].len() / 2]);
     fs::write(&path, &killed).expect("truncate journal");
-    let resumed = campaign.resume(4, &path).expect("resume");
+    let resumed = campaign
+        .execute(
+            4,
+            &ExecOptions {
+                journal: JournalMode::Resume(&path),
+                ..ExecOptions::default()
+            },
+        )
+        .expect("resume")
+        .remove(0);
     assert_eq!(resumed.records(), uninterrupted.records());
     let full = campaign
         .clone()

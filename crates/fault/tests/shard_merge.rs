@@ -1,7 +1,9 @@
 //! Sharding end to end: real campaigns split `i/n`, merged back, and
 //! compared bit-for-bit against the unsharded run.
 
-use fault_inject::{merge_shards, Campaign, CampaignError, ShardResult, Target};
+use fault_inject::{
+    merge_shards, Campaign, CampaignError, ExecOptions, JournalMode, ShardResult, Target,
+};
 use workloads::{Benchmark, Params};
 
 fn base() -> Campaign {
@@ -69,7 +71,15 @@ fn fingerprint_matches_the_journal_header() {
 
     let campaign = base();
     let fingerprint = campaign.fingerprint();
-    campaign.run_journaled(2, &path).expect("journaled run");
+    campaign
+        .execute(
+            2,
+            &ExecOptions {
+                journal: JournalMode::Create(&path),
+                ..ExecOptions::default()
+            },
+        )
+        .expect("journaled run");
     let (header, _, truncated) = fault_inject::journal::read(&path).expect("read journal");
     assert!(!truncated);
     assert_eq!(

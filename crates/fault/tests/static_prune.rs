@@ -5,8 +5,8 @@
 //! analyzer's verdicts in full and confirms them.
 
 use fault_inject::{
-    fault_sites, sample_sites, Campaign, CampaignError, FaultRecord, FaultSite, PrunedBy,
-    StaticAnalysis, Target,
+    fault_sites, sample_sites, Campaign, CampaignError, ExecOptions, FaultRecord, FaultSite,
+    JournalMode, PrunedBy, StaticAnalysis, Target,
 };
 use leon3_model::{Leon3, Leon3Config};
 use rtl_sim::FaultKind;
@@ -253,10 +253,28 @@ fn journaled_static_run_resumes_to_identical_records() {
         .with_kinds(&[FaultKind::StuckAt1])
         .with_injection_fraction(0.3)
         .with_static_analysis(true);
-    let first = campaign.run_journaled(4, &path).unwrap();
+    let first = campaign
+        .execute(
+            4,
+            &ExecOptions {
+                journal: JournalMode::Create(&path),
+                ..ExecOptions::default()
+            },
+        )
+        .unwrap()
+        .remove(0);
     // Resume over the complete journal: nothing re-runs, yet buckets,
     // provenance and the collapsed-class count are all reconstructed.
-    let resumed = campaign.resume(4, &path).unwrap();
+    let resumed = campaign
+        .execute(
+            4,
+            &ExecOptions {
+                journal: JournalMode::Resume(&path),
+                ..ExecOptions::default()
+            },
+        )
+        .unwrap()
+        .remove(0);
     assert_eq!(first.records(), resumed.records());
     assert_eq!(
         first.stats().statically_pruned,
@@ -288,7 +306,13 @@ fn static_config_errors_are_structured() {
     let static_with_pairs = Campaign::new(program, Target::IntegerUnit)
         .with_sample(4, 1)
         .with_static_analysis(true)
-        .try_run_pairs(2);
+        .execute(
+            2,
+            &ExecOptions {
+                pairs: true,
+                ..ExecOptions::default()
+            },
+        );
     assert_eq!(
         static_with_pairs.unwrap_err(),
         CampaignError::StaticWithPairs

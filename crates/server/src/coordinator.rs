@@ -27,7 +27,7 @@
 //!   fleet left off.
 
 use crate::http::{
-    finish_chunks, read_request, write_chunk, write_chunked_head, write_response,
+    accept, finish_chunks, read_request, write_chunk, write_chunked_head, write_response,
     write_response_with, Request,
 };
 use crate::lease::{LeasePolicy, LeaseTable, ShardKey};
@@ -388,7 +388,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        let Ok((mut stream, _)) = listener.accept() else {
+        let Ok(mut stream) = accept(listener) else {
             continue;
         };
         let request = match read_request(&stream) {

@@ -7,11 +7,34 @@
 //! all the campaign service needs, and it keeps the crate std-only.
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
+use std::time::Duration;
 
 /// Largest request body the server accepts (a merge of many shard ids is
 /// tiny; campaign specs are smaller still).
 pub const MAX_BODY: usize = 1 << 26;
+
+/// Largest request line plus headers the server buffers; a longer head is
+/// refused as malformed.
+pub const MAX_HEAD: usize = 8 << 10;
+
+/// How long a server waits on any one read or write of a connection. The
+/// accept loops serve one connection at a time, so this bounds how long a
+/// client that connects and then sends (or reads) nothing holds up every
+/// other route.
+pub const IO_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Accept one connection with [`IO_TIMEOUT`] set on its reads and writes.
+///
+/// # Errors
+///
+/// Fails on accept errors or if the socket refuses the timeouts.
+pub fn accept(listener: &TcpListener) -> std::io::Result<TcpStream> {
+    let (stream, _) = listener.accept()?;
+    stream.set_read_timeout(Some(IO_TIMEOUT))?;
+    stream.set_write_timeout(Some(IO_TIMEOUT))?;
+    Ok(stream)
+}
 
 /// One parsed request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -29,13 +52,23 @@ pub struct Request {
 ///
 /// # Errors
 ///
-/// Fails on I/O errors, a malformed request line, a non-numeric or
-/// oversized `Content-Length`, or a body that is not UTF-8.
+/// Fails on I/O errors (a timed-out read included), a request line plus
+/// headers longer than [`MAX_HEAD`], a malformed request line, a
+/// non-numeric or oversized `Content-Length`, or a body that is not
+/// UTF-8.
 pub fn read_request(stream: &TcpStream) -> std::io::Result<Request> {
     let bad = |reason: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, reason);
     let mut reader = BufReader::new(stream.try_clone()?);
+    let mut head = (&mut reader).take(MAX_HEAD as u64);
+    let mut read_head_line = |line: &mut String| {
+        let n = head.read_line(line)?;
+        if head.limit() == 0 && !line.ends_with('\n') {
+            return Err(bad("request head too large"));
+        }
+        Ok(n)
+    };
     let mut line = String::new();
-    reader.read_line(&mut line)?;
+    read_head_line(&mut line)?;
     let mut parts = line.split_whitespace();
     let method = parts.next().ok_or_else(|| bad("empty request line"))?;
     let path = parts
@@ -49,7 +82,7 @@ pub fn read_request(stream: &TcpStream) -> std::io::Result<Request> {
     let mut content_length = 0usize;
     loop {
         let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
+        if read_head_line(&mut header)? == 0 {
             return Err(bad("connection closed inside headers"));
         }
         let header = header.trim_end();

@@ -9,7 +9,7 @@
 //!   `std::net::TcpListener`, speaking the journal's hand-rolled JSON
 //!   dialect ([`fault_inject::wire`]); no registry dependencies;
 //! * a **scheduler** ([`service`]) — a bounded FIFO queue feeding a fixed
-//!   worker pool, each worker running `Campaign::try_run` with the
+//!   worker pool, each worker running `Campaign::execute` with the
 //!   engine's own panic isolation, plus graceful shutdown that finishes
 //!   in-flight jobs and journals the queued rest to a drain file;
 //! * a **result cache** — keyed by [`fault_inject::Campaign::fingerprint`]

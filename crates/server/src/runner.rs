@@ -22,6 +22,7 @@ use crate::spec::CampaignSpec;
 use analysis::SplitMix64;
 use fault_inject::wire::fleet::{Ack, Complete, LeaseGrant, LeaseReply, Registered};
 use fault_inject::wire::ShardResult;
+use fault_inject::{ExecOptions, JournalMode};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -418,24 +419,31 @@ fn execute_shard(
         let campaign = spec.to_campaign();
         let fingerprint = campaign.fingerprint();
         let (index, count) = spec.shard.unwrap_or((0, 1));
+        let journaled = |journal| {
+            campaign
+                .execute(
+                    threads,
+                    &ExecOptions {
+                        journal,
+                        ..ExecOptions::default()
+                    },
+                )
+                .map(|mut results| results.remove(0))
+        };
         let result = match prior {
             Some(text) => {
                 std::fs::write(&path, &text).map_err(|e| e.to_string())?;
-                match campaign.resume(threads, &path) {
+                match journaled(JournalMode::Resume(&path)) {
                     Ok(result) => result,
                     // An unusable journal (wrong campaign, corrupt past
                     // recovery) must not poison the shard: start fresh.
                     Err(_) => {
                         let _ = std::fs::remove_file(&path);
-                        campaign
-                            .run_journaled(threads, &path)
-                            .map_err(|e| e.to_string())?
+                        journaled(JournalMode::Create(&path)).map_err(|e| e.to_string())?
                     }
                 }
             }
-            None => campaign
-                .run_journaled(threads, &path)
-                .map_err(|e| e.to_string())?,
+            None => journaled(JournalMode::Create(&path)).map_err(|e| e.to_string())?,
         };
         Ok(ShardResult {
             fingerprint,

@@ -7,12 +7,12 @@
 //! workers block on a condvar and run campaigns; each completed result
 //! is published into the job table and the cache under the same mutex.
 
-use crate::http::{read_request, write_response_with, Request};
+use crate::http::{accept, read_request, write_response_with, Request};
 use crate::spec::CampaignSpec;
 use fault_inject::wire::{escape_json, merge_shards, Json, ShardResult};
 use fault_inject::{
-    merge_correlation_shards, CorrelationReport, CorrelationShard, CorrelationSpec, PredictRequest,
-    Prediction, PreparedWorkload,
+    merge_correlation_shards, Campaign, CampaignError, CorrelationReport, CorrelationShard,
+    CorrelationSpec, ExecOptions, PredictRequest, Prediction, PreparedWorkload,
 };
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
@@ -34,7 +34,7 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Queue depth bound; submissions beyond it are refused with 503.
     pub queue_depth: usize,
-    /// Threads each worker hands to `Campaign::try_run` (campaigns are
+    /// Threads each worker hands to `Campaign::execute` (campaigns are
     /// deterministic in this, so it is a pure throughput knob).
     pub job_threads: usize,
     /// Where a graceful shutdown journals the still-queued specs (one
@@ -369,11 +369,12 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        let Ok((mut stream, _)) = listener.accept() else {
+        let Ok(mut stream) = accept(listener) else {
             continue;
         };
         // Requests are handled inline: every route is a table operation,
-        // so the accept thread never waits on a simulation.
+        // so the accept thread never waits on a simulation, and a client
+        // that sends nothing holds it for at most the I/O timeout.
         let (status, body) = match read_request(&stream) {
             Ok(request) => route(shared, &request),
             Err(e) => (
@@ -482,16 +483,20 @@ fn run_spec(
     let spec = spec.clone();
     let run = catch_unwind(AssertUnwindSafe(move || {
         let campaign = spec.to_campaign();
-        let fingerprint = campaign.fingerprint();
         let (index, count) = spec.shard.unwrap_or((0, 1));
-        let prepared = prepare_golden(&campaign, &fingerprint, spec.safety.parity, shared)?;
+        let prepared =
+            prepare_golden(&campaign, spec.safety.parity, shared).map_err(|e| e.to_string())?;
+        let options = ExecOptions {
+            golden: Some(&prepared),
+            ..ExecOptions::default()
+        };
         campaign
-            .try_run_prepared(job_threads, &prepared)
-            .map(|result| ShardResult {
-                fingerprint,
+            .execute(job_threads, &options)
+            .map(|mut results| ShardResult {
+                fingerprint: campaign.fingerprint(),
                 index,
                 count,
-                result,
+                result: results.remove(0),
             })
             .map_err(|e| e.to_string())
     }));
@@ -504,12 +509,12 @@ fn run_spec(
 /// the same program image share one capture, whatever else differs) and
 /// the classification config (parity is its only spec-controlled field).
 fn prepare_golden(
-    campaign: &fault_inject::Campaign,
-    fingerprint: &str,
+    campaign: &Campaign,
     parity: bool,
     shared: &Shared,
-) -> Result<Arc<PreparedWorkload>, String> {
-    let workload_hash = fingerprint.split('-').next().unwrap_or(fingerprint);
+) -> Result<Arc<PreparedWorkload>, CampaignError> {
+    let fingerprint = campaign.fingerprint();
+    let workload_hash = fingerprint.split('-').next().unwrap_or(&fingerprint);
     let golden_key = format!("{workload_hash}|parity={parity}");
     let cached = shared
         .golden
@@ -527,66 +532,38 @@ fn prepare_golden(
             Ok(p)
         }
         None => {
-            let p = Arc::new(campaign.prepare().map_err(|e| e.to_string())?);
+            let p = Arc::new(campaign.prepare()?);
             shared
                 .golden
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)
-                .insert(golden_key, (Arc::clone(&p), fingerprint.to_string()));
+                .insert(golden_key, (Arc::clone(&p), fingerprint));
             shared.lock().counters.golden_cache_misses += 1;
             Ok(p)
         }
     }
 }
 
-/// Run one correlation sweep: measure every cell on the ISS, run every
-/// cell × domain campaign through the shared golden store, and — when
-/// the spec is unsharded — merge and fit in-process. A sharded spec
-/// parks its slice as a [`JobOutput::Partial`] for a later `/merge`.
+/// Run one correlation sweep with its golden runs from the shared golden
+/// store, then — when the spec is unsharded — merge and fit in-process.
+/// A sharded spec parks its slice as a [`JobOutput::Partial`] for a
+/// later `/merge`.
 fn run_correlation(
     spec: &CorrelationSpec,
     job_threads: usize,
     shared: &Shared,
 ) -> Result<(JobOutput, (u64, u64, u64)), String> {
-    let spec = spec.clone();
-    let run = catch_unwind(AssertUnwindSafe(move || {
-        let (index, count) = spec.shard.unwrap_or((0, 1));
-        let cells: Vec<_> = spec.cells();
-        let measurements: Vec<_> = cells
-            .iter()
-            .map(fault_inject::CorrelationCell::measure)
-            .collect();
-        let mut results = Vec::new();
-        for cell in &cells {
-            for &target in &spec.targets {
-                let campaign = spec.campaign(cell, target);
-                let fingerprint = campaign.fingerprint();
-                // Correlation campaigns run no safety mechanisms, so
-                // parity is always off in the golden key — and a plain
-                // `/campaign` over the same workload shares the capture.
-                let prepared = prepare_golden(&campaign, &fingerprint, false, shared)?;
-                let result = campaign
-                    .try_run_prepared(job_threads, &prepared)
-                    .map_err(|e| e.to_string())?;
-                results.push(ShardResult {
-                    fingerprint,
-                    index,
-                    count,
-                    result,
-                });
-            }
-        }
-        let totals = results_totals(&results);
-        let mut clean = spec.clone();
-        clean.shard = None;
-        let shard = CorrelationShard {
-            spec: clean,
-            index,
-            count,
-            cells: measurements,
-            results,
-        };
-        if count == 1 {
+    let run = catch_unwind(AssertUnwindSafe(|| {
+        // Correlation campaigns run no safety mechanisms, so parity is
+        // always off in the golden key — and a plain `/campaign` over the
+        // same workload shares the capture.
+        let shard = spec
+            .run_with(job_threads, |_, campaign| {
+                prepare_golden(campaign, false, shared)
+            })
+            .map_err(|e| e.to_string())?;
+        let totals = results_totals(&shard.results);
+        if shard.count == 1 {
             let report = merge_correlation_shards(vec![shard])?;
             Ok((JobOutput::Report(report), totals))
         } else {

@@ -1,10 +1,12 @@
 //! Fleet end-to-end tests: a real coordinator and real runners on
 //! loopback, including the kill-recovery acceptance test.
 
-use fault_inject::{AttackTarget, InjectionInstant, Target};
+use fault_inject::{AttackTarget, ExecOptions, InjectionInstant, JournalMode, Target};
 use rtl_sim::FaultKind;
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
+use verifd::http::IO_TIMEOUT;
 use verifd::{client, CampaignSpec, Coordinator, CoordinatorConfig, Runner, RunnerConfig};
 use workloads::Benchmark;
 
@@ -272,8 +274,15 @@ fn uploaded_partial_journal_resumes_without_resimulating_finished_jobs() {
     let journal_path = dir.join("manual.journal");
     let full = leased_spec
         .to_campaign()
-        .run_journaled(2, &journal_path)
-        .expect("journaled run");
+        .execute(
+            2,
+            &ExecOptions {
+                journal: JournalMode::Create(&journal_path),
+                ..ExecOptions::default()
+            },
+        )
+        .expect("journaled run")
+        .remove(0);
     let text = std::fs::read_to_string(&journal_path).expect("journal text");
     let header_end = text.find('\n').expect("header line") + 1;
     let cut = header_end + (text.len() - header_end) / 2;
@@ -302,8 +311,15 @@ fn uploaded_partial_journal_resumes_without_resimulating_finished_jobs() {
     std::fs::write(&journal_path, uploaded).expect("write journal");
     let resumed = leased_spec
         .to_campaign()
-        .resume(2, &journal_path)
-        .expect("resume");
+        .execute(
+            2,
+            &ExecOptions {
+                journal: JournalMode::Resume(&journal_path),
+                ..ExecOptions::default()
+            },
+        )
+        .expect("resume")
+        .remove(0);
     let recovered = resumed.stats().resumed;
     assert!(recovered > 0, "the resume recovered journaled jobs");
     let ack = client::fleet_complete(
@@ -531,6 +547,29 @@ fn progress_watch_streams_chunks_until_terminal() {
     }
 
     runner.stop();
+    coordinator.shutdown().expect("shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_idle_connection_does_not_stall_the_coordinator() {
+    let dir = tempdir("idle");
+    let coordinator = Coordinator::start(fast_config(&dir)).expect("bind coordinator");
+    let addr = coordinator.addr().to_string();
+    // Connects, then sends nothing: the accept loop takes it first. The
+    // health check runs on a thread of its own so a stalled coordinator
+    // fails the test instead of hanging it.
+    let idle = TcpStream::connect(&addr).expect("idle connection");
+    let (tx, rx) = std::sync::mpsc::channel();
+    let probe = addr.clone();
+    std::thread::spawn(move || {
+        let _ = tx.send(client::healthz(&probe));
+    });
+    let reply = rx
+        .recv_timeout(IO_TIMEOUT + Duration::from_secs(2))
+        .expect("/healthz must answer within the I/O timeout plus slack");
+    assert!(!reply.expect("healthz"), "not draining");
+    drop(idle);
     coordinator.shutdown().expect("shutdown");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -3,6 +3,10 @@
 
 use fault_inject::{CorrelationSpec, InjectionInstant, PredictRequest, Target};
 use rtl_sim::FaultKind;
+use std::io::Write as _;
+use std::net::TcpStream;
+use std::time::Duration;
+use verifd::http::{read_response, IO_TIMEOUT, MAX_HEAD};
 use verifd::{client, CampaignSpec, Server, ServerConfig};
 use workloads::Benchmark;
 
@@ -365,5 +369,48 @@ fn bad_submissions_and_unknown_routes_are_refused() {
         other => panic!("expected 404 for unknown id, got {other:?}"),
     }
 
+    server.shutdown().expect("shutdown");
+}
+
+/// `GET /healthz` on a thread of its own, so a stalled server fails the
+/// test instead of hanging it: `Some(reply)` if it answered within
+/// `limit`.
+fn healthz_within(addr: &str, limit: Duration) -> Option<Result<bool, client::ClientError>> {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let addr = addr.to_string();
+    std::thread::spawn(move || {
+        let _ = tx.send(client::healthz(&addr));
+    });
+    rx.recv_timeout(limit).ok()
+}
+
+#[test]
+fn an_idle_connection_does_not_stall_the_service() {
+    let (server, addr) = start(1, None);
+    // Connects, then sends nothing: the accept loop takes it first.
+    let idle = TcpStream::connect(&addr).expect("idle connection");
+    let reply = healthz_within(&addr, IO_TIMEOUT + Duration::from_secs(2))
+        .expect("/healthz must answer within the I/O timeout plus slack");
+    assert!(!reply.expect("healthz"), "not draining");
+    drop(idle);
+    server.shutdown().expect("shutdown");
+}
+
+#[test]
+fn an_over_long_header_line_is_refused_and_the_service_goes_on() {
+    let (server, addr) = start(1, None);
+    let mut stream = TcpStream::connect(&addr).expect("connect");
+    // Exactly `MAX_HEAD` bytes, ending inside one header line: the server
+    // refuses the head at its cap having read all that was sent, so it
+    // closes without unread input and its 400 is not lost to a reset.
+    let head = "GET /healthz HTTP/1.1\r\nx-padding: ";
+    let padding = "x".repeat(MAX_HEAD - head.len());
+    write!(stream, "{head}{padding}").expect("send");
+    let (status, body) = read_response(&stream).expect("a response, not a hang-up");
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("too large"), "{body}");
+    drop(stream);
+    let reply = healthz_within(&addr, IO_TIMEOUT).expect("/healthz answers");
+    assert!(!reply.expect("healthz"), "not draining");
     server.shutdown().expect("shutdown");
 }
