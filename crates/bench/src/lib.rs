@@ -1,4 +1,5 @@
-//! Shared helpers for the benchmark harness and the `repro` binary.
+//! Shared helpers for the `repro` binary: experiment sizing from the
+//! environment, and the bench-regression gate behind `repro benchgate`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -56,179 +57,121 @@ pub fn config_from_env() -> ExperimentConfig {
     config
 }
 
-/// The CI bench-regression gate over the campaign engine.
+/// The CI bench-regression gate, `repro benchgate`: one table of cases,
+/// one measurement per case on both engines, and one committed baseline,
+/// `BENCH_gate.json`.
 ///
-/// Wall-clock throughput is runner-dependent, so the gate compares
-/// **simulated cycle counts** instead: the fork/full-re-execution cycle
-/// ratio of a fixed smoke campaign is deterministic (independent of
-/// thread count, load and machine), making the committed baseline
-/// noise-proof. The baseline and its tolerance live in the `gate`
-/// section of `BENCH_campaign.json`, written by the `campaign_engine`
-/// bench and checked by `repro benchgate`.
+/// Wall-clock throughput is runner-dependent, so the gate compares cycle
+/// counts, which are deterministic (independent of load and machine).
+/// Each case gates two ratios of the fork engine to full re-execution:
+/// the *billed* cycles ratio (`cycles_simulated`, each job counted as if
+/// it ran alone from its pool ancestor) and the *host* ratio
+/// ([`fault_inject::host_cycles`], what the host actually stepped). A
+/// correlation case also holds its fitted R² to
+/// [`R2_FLOOR`](gate::R2_FLOOR). Every case runs on one thread: the billed
+/// ratio does not depend on the thread count, but the host count does,
+/// since each worker sweeps the golden run once.
 pub mod gate {
     use fault_inject::wire::Json;
     use fault_inject::{
-        merge_correlation_shards, Campaign, CorrelationSpec, ExecOptions, Execution, GoldenRun,
-        InjectionInstant, Target,
+        host_cycles, merge_correlation_shards, Campaign, CorrelationSpec, ExecOptions, Execution,
+        GoldenRun, InjectionInstant, Target,
     };
     use leon3_model::Leon3Config;
     use rtl_sim::FaultKind;
     use std::fmt::Write as _;
     use workloads::{Benchmark, Params};
 
-    /// Relative tolerance on the cycle ratio recorded into the baseline
-    /// file. The committed value in the file is authoritative at check
-    /// time; this constant only seeds newly written baselines.
-    pub const DEFAULT_TOLERANCE: f64 = 0.25;
+    /// The committed baseline, relative to the repository root.
+    pub const BASELINE: &str = "BENCH_gate.json";
 
-    /// One gate case: a small deterministic campaign in smoke config.
+    /// Relative tolerance on every gated ratio: a measured ratio above
+    /// `baseline * (1 + TOLERANCE)` is a regression.
+    pub const TOLERANCE: f64 = 0.25;
+
+    /// Minimum R² of a correlation case's best-fitting domain.
+    pub const R2_FLOOR: f64 = 0.85;
+
+    /// What a gate case runs on each engine.
+    pub enum Workload {
+        /// A campaign, run at every listed instant (at its own instant
+        /// when the list is empty).
+        Campaign(fn() -> (Campaign, Vec<InjectionInstant>)),
+        /// A correlation sweep; the case also gates the fitted R².
+        Correlation(fn() -> CorrelationSpec),
+    }
+
+    /// One gate case: a small deterministic workload under a stable name.
     pub struct GateCase {
         /// Stable name keying the baseline entry.
         pub name: &'static str,
-        /// Workload under injection.
-        pub benchmark: Benchmark,
-        /// Fault domain.
-        pub target: Target,
+        /// What the case runs.
+        pub workload: Workload,
     }
 
-    /// The smoke cases the gate runs — one per fault domain the engine
-    /// optimizes differently.
-    pub const CASES: [GateCase; 2] = [
+    /// Every gate case, in report order.
+    pub const CASES: [GateCase; 5] = [
+        // Permanent faults, one case per fault domain the engine treats
+        // differently.
         GateCase {
             name: "intbench-iu",
-            benchmark: Benchmark::Intbench,
-            target: Target::IntegerUnit,
+            workload: Workload::Campaign(|| {
+                (smoke(Benchmark::Intbench, Target::IntegerUnit), vec![])
+            }),
         },
         GateCase {
             name: "rspeed-cmem",
-            benchmark: Benchmark::Rspeed,
-            target: Target::CacheMemory,
+            workload: Workload::Campaign(|| {
+                (smoke(Benchmark::Rspeed, Target::CacheMemory), vec![])
+            }),
+        },
+        // Time-varying faults over twelve instants and a stride grid: the
+        // schedules must survive every restore and replay boundary.
+        GateCase {
+            name: "rspeed-iu-intermittent-dense",
+            workload: Workload::Campaign(intermittent_dense),
+        },
+        // Static pruning on both engines: a change that stops pruning
+        // doubles the billed ratio.
+        GateCase {
+            name: "rspeed-iu-transient-static",
+            workload: Workload::Campaign(|| {
+                let program = Benchmark::Rspeed.program(&Params::default());
+                let campaign = Campaign::new(program, Target::IntegerUnit)
+                    .with_sample(60, 0xdac)
+                    .with_kinds(&[FaultKind::TransientFlip])
+                    .with_injection_fraction(0.3)
+                    .with_static_analysis(true);
+                (campaign, vec![])
+            }),
+        },
+        // The paper's Table 1 sweep (six kernels plus their low-diversity
+        // excerpts), stuck-at-1 at IU nodes, injected at 30% of each run.
+        GateCase {
+            name: "table1-iu-stuck1",
+            workload: Workload::Correlation(|| {
+                let mut spec = CorrelationSpec::new();
+                spec.sample = Some((48, 0xd1));
+                spec.injection = InjectionInstant::Fraction(0.3);
+                spec
+            }),
         },
     ];
 
-    fn campaign(case: &GateCase) -> Campaign {
-        Campaign::new(case.benchmark.program(&Params::default()), case.target)
+    /// Stuck-at-1 and open-line faults at 30% of the golden run.
+    fn smoke(benchmark: Benchmark, target: Target) -> Campaign {
+        Campaign::new(benchmark.program(&Params::default()), target)
             .with_sample(12, 0xbe)
             .with_kinds(&[FaultKind::StuckAt1, FaultKind::OpenLine])
             .with_injection_fraction(0.3)
     }
 
-    /// A case's deterministic measurement.
-    pub struct GateMeasurement {
-        /// The case name.
-        pub name: &'static str,
-        /// Cycles the fork engine simulated.
-        pub fork_cycles: u64,
-        /// Cycles full re-execution simulated.
-        pub full_cycles: u64,
-    }
-
-    impl GateMeasurement {
-        /// Fork cycles as a fraction of full-re-execution cycles (lower
-        /// is better; 1.0 = the fork engine saves nothing).
-        pub fn cycles_ratio(&self) -> f64 {
-            self.fork_cycles as f64 / self.full_cycles as f64
-        }
-    }
-
-    /// Run one gate case on both engines.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the statically valid smoke campaign fails to run.
-    pub fn measure(case: &GateCase, threads: usize) -> GateMeasurement {
-        let base = campaign(case);
-        let fork = base
-            .clone()
-            .with_execution(Execution::Fork)
-            .try_run(threads)
-            .expect("gate campaign is statically valid");
-        let full = base
-            .with_execution(Execution::FullReexecution)
-            .try_run(threads)
-            .expect("gate campaign is statically valid");
-        GateMeasurement {
-            name: case.name,
-            fork_cycles: fork.stats().cycles_simulated,
-            full_cycles: full.stats().cycles_simulated,
-        }
-    }
-
-    /// Serialize the `gate` section for `BENCH_campaign.json`.
-    pub fn baseline_json(measurements: &[GateMeasurement]) -> String {
-        let mut s = String::new();
-        let _ = write!(
-            s,
-            "{{\n    \"tolerance\": {DEFAULT_TOLERANCE},\n    \"cases\": [\n"
-        );
-        for (i, m) in measurements.iter().enumerate() {
-            if i > 0 {
-                s.push_str(",\n");
-            }
-            let _ = write!(
-                s,
-                concat!(
-                    "      {{\n",
-                    "        \"name\": \"{}\",\n",
-                    "        \"fork_cycles\": {},\n",
-                    "        \"full_cycles\": {},\n",
-                    "        \"cycles_ratio\": {:.4}\n",
-                    "      }}"
-                ),
-                m.name,
-                m.fork_cycles,
-                m.full_cycles,
-                m.cycles_ratio(),
-            );
-        }
-        s.push_str("\n    ]\n  }");
-        s
-    }
-
-    /// Re-measure every committed case and compare against the baseline.
-    ///
-    /// `perturb` multiplies each measured ratio before comparison — `1.0`
-    /// for a real check; larger values let CI prove the gate actually
-    /// fails on a regression.
-    ///
-    /// # Errors
-    ///
-    /// A malformed baseline, an unknown case name, or any case whose
-    /// (perturbed) ratio exceeds `baseline * (1 + tolerance)` fails the
-    /// gate; the error lines describe every failure.
-    pub fn check(
-        bench_json: &str,
-        threads: usize,
-        perturb: f64,
-    ) -> Result<Vec<String>, Vec<String>> {
-        check_cases(bench_json, "campaign_engine", None, |name| {
-            CASES
-                .iter()
-                .find(|c| c.name == name)
-                .map(|case| (measure(case, threads).cycles_ratio() * perturb, None))
-        })
-    }
-
-    /// The checkpoint-tree gate case: a **dense intermittent sweep** —
-    /// twelve injection instants of the two time-varying fault models
-    /// over one checkpoint pool with a stride grid. Time-varying masks
-    /// must survive every restore/replay boundary, so this case pins the
-    /// fork engine's cycle economics on exactly the schedule shapes the
-    /// permanent-fault gate cases never exercise.
-    pub const CHECKPOINT_CASE: &str = "rspeed-iu-intermittent-dense";
-
-    /// Instants of the dense sweep (shared by measure and tests).
-    pub fn checkpoint_case_instants() -> Vec<InjectionInstant> {
-        (1..=12)
-            .map(|i| InjectionInstant::Fraction(f64::from(i) / 13.0))
-            .collect()
-    }
-
-    /// The dense-sweep campaign, parameterized by engine.
-    fn checkpoint_case_campaign() -> Campaign {
+    /// Intermittent stuck-at and burst faults at twelve instants, over a
+    /// pool with a checkpoint every eighth of the golden run.
+    fn intermittent_dense() -> (Campaign, Vec<InjectionInstant>) {
         let program = Benchmark::Rspeed.program(&Params::default());
         let golden = GoldenRun::capture(&program, &Leon3Config::default());
-        Campaign::new(program, Target::IntegerUnit)
+        let campaign = Campaign::new(program, Target::IntegerUnit)
             .with_sample(8, 0xc4)
             .with_kinds(&[
                 FaultKind::IntermittentStuck {
@@ -242,254 +185,212 @@ pub mod gate {
                     spacing: 100,
                 },
             ])
-            .with_checkpoint_stride((golden.cycles / 8).max(1))
+            .with_checkpoint_stride((golden.cycles / 8).max(1));
+        let instants = (1..=12)
+            .map(|i| InjectionInstant::Fraction(f64::from(i) / 13.0))
+            .collect();
+        (campaign, instants)
     }
 
-    /// Measure the dense intermittent sweep on both engines.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the statically valid sweep fails to run.
-    pub fn measure_checkpoint(threads: usize) -> GateMeasurement {
-        let instants = checkpoint_case_instants();
-        let base = checkpoint_case_campaign();
-        let sum = |results: Vec<fault_inject::CampaignResult>| -> u64 {
-            results.iter().map(|r| r.stats().cycles_simulated).sum()
-        };
-        let options = ExecOptions {
-            instants: Some(&instants),
-            ..ExecOptions::default()
-        };
-        let fork = base
-            .clone()
-            .with_execution(Execution::Fork)
-            .execute(threads, &options)
-            .expect("checkpoint gate sweep is statically valid");
-        let full = base
-            .with_execution(Execution::FullReexecution)
-            .execute(threads, &options)
-            .expect("checkpoint gate sweep is statically valid");
-        GateMeasurement {
-            name: CHECKPOINT_CASE,
-            fork_cycles: sum(fork),
-            full_cycles: sum(full),
-        }
-    }
-
-    /// Serialize the `gate` section for `BENCH_checkpoint.json`.
-    pub fn checkpoint_baseline_json(m: &GateMeasurement) -> String {
-        baseline_json(std::slice::from_ref(m))
-    }
-
-    /// Check `BENCH_checkpoint.json`'s `gate` section: re-measure the
-    /// dense intermittent sweep and compare its fork/full cycle ratio.
-    ///
-    /// # Errors
-    ///
-    /// As [`check`].
-    pub fn check_checkpoint(
-        bench_json: &str,
-        threads: usize,
-        perturb: f64,
-    ) -> Result<Vec<String>, Vec<String>> {
-        check_cases(bench_json, "checkpoint_tree", None, |name| {
-            (name == CHECKPOINT_CASE)
-                .then(|| (measure_checkpoint(threads).cycles_ratio() * perturb, None))
-        })
-    }
-
-    /// The correlation gate case: the paper's Table 1 sweep (six kernels
-    /// plus their low-diversity excerpts), sampled small, stuck-at-1 at
-    /// IU nodes. One case gates two quantities — the sweep's fork/full
-    /// cycle economics and the fitted model's R².
-    pub const CORRELATION_CASE: &str = "table1-iu-stuck1";
-
-    /// Minimum acceptable R² of the gate sweep's best-correlating
-    /// domain, seeded into newly written baselines. As with the cycle
-    /// tolerance, the committed value in the file is authoritative at
-    /// check time.
-    pub const R2_FLOOR: f64 = 0.85;
-
-    /// The gate sweep: the default Fig. 7 cross-product under small
-    /// deterministic sampling and a mid-run injection instant (so the
-    /// fork engine has golden prefix to save).
-    pub fn correlation_gate_spec() -> CorrelationSpec {
-        let mut spec = CorrelationSpec::new();
-        spec.sample = Some((48, 0xd1));
-        spec.injection = InjectionInstant::Fraction(0.3);
-        spec
-    }
-
-    /// The correlation case's deterministic measurement: cycle economics
-    /// plus fit quality.
-    pub struct CorrelationMeasurement {
-        /// The case name ([`CORRELATION_CASE`]).
+    /// A case's deterministic measurement.
+    #[derive(Debug)]
+    pub struct GateMeasurement {
+        /// The case name.
         pub name: &'static str,
-        /// Cycles the fork engine simulated across every sweep cell.
+        /// Cycles the fork engine billed.
         pub fork_cycles: u64,
-        /// Cycles full re-execution simulated across every sweep cell.
+        /// Cycles full re-execution billed, which are the cycles it
+        /// stepped.
         pub full_cycles: u64,
-        /// R² of the sweep's best-correlating fitted domain.
-        pub r2: f64,
+        /// Cycles the fork engine stepped on the host.
+        pub host_cycles: u64,
+        /// R² of a correlation sweep's best-fitting domain.
+        pub r2: Option<f64>,
     }
 
-    impl CorrelationMeasurement {
-        /// Fork cycles as a fraction of full-re-execution cycles.
+    impl GateMeasurement {
+        /// Billed fork cycles over full re-execution cycles (lower is
+        /// better; 1.0 = the fork engine saves nothing).
         pub fn cycles_ratio(&self) -> f64 {
             self.fork_cycles as f64 / self.full_cycles as f64
         }
+
+        /// Host-stepped fork cycles over full re-execution cycles.
+        pub fn host_ratio(&self) -> f64 {
+            self.host_cycles as f64 / self.full_cycles as f64
+        }
     }
 
-    /// Run the correlation gate sweep on both engines and fit its model.
+    /// Run one case on both engines, on one thread.
     ///
     /// # Panics
     ///
-    /// Panics if the statically valid gate sweep fails to run or fit.
-    pub fn measure_correlation(threads: usize) -> CorrelationMeasurement {
-        let spec = correlation_gate_spec();
-        let shard = spec
-            .run(threads)
-            .expect("correlation gate sweep is statically valid");
-        let fork_cycles = shard
-            .results
-            .iter()
-            .map(|r| r.result.stats().cycles_simulated)
-            .sum();
-        let mut full_cycles = 0u64;
-        for (cell, target) in spec.jobs() {
-            let full = spec
-                .campaign(&cell, target)
-                .with_execution(Execution::FullReexecution)
-                .try_run(threads)
-                .expect("correlation gate sweep is statically valid");
-            full_cycles += full.stats().cycles_simulated;
-        }
-        let report = merge_correlation_shards(vec![shard]).expect("the gate sweep fits a model");
-        CorrelationMeasurement {
-            name: CORRELATION_CASE,
+    /// Panics if the statically valid case fails to run or to fit.
+    pub fn measure(case: &GateCase) -> GateMeasurement {
+        let before = host_cycles();
+        let (fork_cycles, r2) = run(case, Execution::Fork);
+        let host = host_cycles() - before;
+        let (full_cycles, _) = run(case, Execution::FullReexecution);
+        GateMeasurement {
+            name: case.name,
             fork_cycles,
             full_cycles,
-            r2: report.best_domain().model.r2,
+            host_cycles: host,
+            r2,
         }
     }
 
-    /// Serialize the `gate` section for `BENCH_correlation.json`.
-    pub fn correlation_baseline_json(m: &CorrelationMeasurement) -> String {
-        format!(
-            concat!(
-                "{{\n    \"tolerance\": {},\n    \"r2_floor\": {},\n    \"cases\": [\n",
-                "      {{\n",
-                "        \"name\": \"{}\",\n",
-                "        \"fork_cycles\": {},\n",
-                "        \"full_cycles\": {},\n",
-                "        \"cycles_ratio\": {:.4},\n",
-                "        \"r2\": {:.4}\n",
-                "      }}\n    ]\n  }}"
-            ),
-            DEFAULT_TOLERANCE,
-            R2_FLOOR,
-            m.name,
-            m.fork_cycles,
-            m.full_cycles,
-            m.cycles_ratio(),
-            m.r2,
-        )
+    /// Run a case on one engine: its billed cycles and, for a correlation
+    /// sweep on the fork engine, the fitted R².
+    fn run(case: &GateCase, execution: Execution) -> (u64, Option<f64>) {
+        const VALID: &str = "gate cases are statically valid";
+        match case.workload {
+            Workload::Campaign(build) => {
+                let (campaign, instants) = build();
+                let options = ExecOptions {
+                    instants: (!instants.is_empty()).then_some(instants.as_slice()),
+                    ..ExecOptions::default()
+                };
+                let results = campaign
+                    .with_execution(execution)
+                    .execute(1, &options)
+                    .expect(VALID);
+                (
+                    results.iter().map(|r| r.stats().cycles_simulated).sum(),
+                    None,
+                )
+            }
+            // The sweep itself always forks, so full re-execution runs its
+            // cell campaigns one by one.
+            Workload::Correlation(spec) => {
+                let spec = spec();
+                if execution == Execution::Fork {
+                    let shard = spec.run(1).expect(VALID);
+                    let cycles = shard
+                        .results
+                        .iter()
+                        .map(|r| r.result.stats().cycles_simulated)
+                        .sum();
+                    let report = merge_correlation_shards(vec![shard]).expect(VALID);
+                    return (cycles, Some(report.best_domain().model.r2));
+                }
+                let cycles = spec
+                    .jobs()
+                    .iter()
+                    .map(|(cell, target)| {
+                        let campaign = spec.campaign(cell, *target).with_execution(execution);
+                        campaign.try_run(1).expect(VALID).stats().cycles_simulated
+                    })
+                    .sum();
+                (cycles, None)
+            }
+        }
     }
 
-    /// Check `BENCH_correlation.json`'s `gate` section: re-measure the
-    /// gate sweep and compare its cycle ratio against the committed
-    /// baseline **and** its fitted R² against the committed floor.
+    /// Serialize measurements as the baseline file (`repro benchgate
+    /// --write`).
+    pub fn baseline_json(measurements: &[GateMeasurement]) -> String {
+        let mut s = String::from("{\n  \"cases\": [\n");
+        for (i, m) in measurements.iter().enumerate() {
+            if i > 0 {
+                s.push_str(",\n");
+            }
+            let _ = write!(
+                s,
+                concat!(
+                    "    {{\n",
+                    "      \"name\": \"{}\",\n",
+                    "      \"fork_cycles\": {},\n",
+                    "      \"full_cycles\": {},\n",
+                    "      \"host_cycles\": {},\n",
+                    "      \"cycles_ratio\": {:.4},\n",
+                    "      \"host_ratio\": {:.4}"
+                ),
+                m.name,
+                m.fork_cycles,
+                m.full_cycles,
+                m.host_cycles,
+                m.cycles_ratio(),
+                m.host_ratio(),
+            );
+            if let Some(r2) = m.r2 {
+                let _ = write!(s, ",\n      \"r2\": {r2:.4}");
+            }
+            s.push_str("\n    }");
+        }
+        s.push_str("\n  ]\n}\n");
+        s
+    }
+
+    /// Compare measurements against the baseline: each case's cycles and
+    /// host ratios must stay within [`TOLERANCE`] of its committed values,
+    /// and a fitted R² must reach [`R2_FLOOR`].
     ///
-    /// `perturb` degrades both gated quantities — the measured ratio is
-    /// multiplied (a slower engine), the measured R² divided (a worse
-    /// fit) — so CI can prove both directions of the gate fire.
+    /// `perturb` degrades every measured quantity before the comparison —
+    /// ratios multiplied, R² divided — so CI can prove each gate fires.
     ///
     /// # Errors
     ///
-    /// A malformed baseline, an unknown case name, a (perturbed) ratio
-    /// above `baseline * (1 + tolerance)`, or a (perturbed) R² below
-    /// `r2_floor` fails the gate.
-    pub fn check_correlation(
-        bench_json: &str,
-        threads: usize,
+    /// A malformed baseline, a case measured but missing from it (or the
+    /// reverse), or any regression fails the gate; the error lines
+    /// describe every failure. On success, one line per gated quantity.
+    pub fn check(
+        baseline: &str,
+        measurements: &[GateMeasurement],
         perturb: f64,
     ) -> Result<Vec<String>, Vec<String>> {
-        check_cases(bench_json, "correlation_sweep", Some("r2"), |name| {
-            (name == CORRELATION_CASE).then(|| {
-                let m = measure_correlation(threads);
-                (m.cycles_ratio() * perturb, Some(m.r2 / perturb))
-            })
-        })
-    }
-
-    /// Shared gate walk: parse a baseline's `gate` section and compare
-    /// each committed case against `measure` (which returns `None` for
-    /// names unknown to this binary). A case's measured cycle ratio must
-    /// stay within the baseline's tolerance. With `floored`, a gate also
-    /// holds the named quantity (e.g. `r2`) of every case to the floor its
-    /// section commits under `<quantity>_floor`; `measure` returns that
-    /// quantity's value alongside the ratio.
-    fn check_cases(
-        bench_json: &str,
-        source_bench: &str,
-        floored: Option<&str>,
-        measure: impl Fn(&str) -> Option<(f64, Option<f64>)>,
-    ) -> Result<Vec<String>, Vec<String>> {
-        let v = Json::parse(bench_json).map_err(|e| vec![format!("baseline unreadable: {e}")])?;
-        let gate = v.get("gate").ok_or_else(|| {
-            vec![format!(
-                "baseline has no `gate` section (re-run the {source_bench} bench)"
-            )]
-        })?;
-        let tolerance = gate
-            .get_f64("tolerance")
-            .ok_or_else(|| vec!["gate section has no `tolerance`".to_string()])?;
-        let floor = match floored {
-            Some(quantity) => {
-                let key = format!("{quantity}_floor");
-                let floor = gate
-                    .get_f64(&key)
-                    .ok_or_else(|| vec![format!("gate section has no `{key}`")])?;
-                Some((quantity, floor))
-            }
-            None => None,
-        };
-        let cases = gate
+        let v = Json::parse(baseline).map_err(|e| vec![format!("baseline unreadable: {e}")])?;
+        let entries = v
             .get_array("cases")
-            .ok_or_else(|| vec!["gate section has no `cases`".to_string()])?;
+            .ok_or_else(|| vec!["baseline has no `cases`".to_string()])?;
         let mut report = Vec::new();
         let mut failures = Vec::new();
-        for entry in cases {
-            let Some(name) = entry.get_str("name") else {
-                failures.push("gate case without a name".to_string());
-                continue;
-            };
-            let Some(baseline) = entry.get_f64("cycles_ratio") else {
-                failures.push(format!("gate case `{name}` has no cycles_ratio"));
-                continue;
-            };
-            let Some((measured, value)) = measure(name) else {
-                failures.push(format!("gate case `{name}` is unknown to this binary"));
-                continue;
-            };
-            let limit = baseline * (1.0 + tolerance);
-            let line = format!(
-                "{name}: cycles_ratio {measured:.4} vs baseline {baseline:.4} (limit {limit:.4})"
-            );
-            if measured > limit {
+        let mut judge = |failed: bool, line: String| {
+            if failed {
                 failures.push(format!("REGRESSION {line}"));
             } else {
                 report.push(format!("ok {line}"));
             }
-            if let (Some((quantity, floor)), Some(value)) = (floor, value) {
-                let line = format!("{name}: {quantity} {value:.4} (floor {floor:.4})");
-                if value < floor {
-                    failures.push(format!("REGRESSION {line}"));
-                } else {
-                    report.push(format!("ok {line}"));
-                }
+        };
+        let mut missing = Vec::new();
+        for entry in entries {
+            let name = entry.get_str("name").unwrap_or("");
+            if !measurements.iter().any(|m| m.name == name) {
+                missing.push(format!("gate case `{name}` is unknown to this binary"));
             }
         }
+        for m in measurements {
+            let name = m.name;
+            let Some(entry) = entries.iter().find(|e| e.get_str("name") == Some(name)) else {
+                missing.push(format!("gate case `{name}` has no baseline"));
+                continue;
+            };
+            for (quantity, measured) in [
+                ("cycles_ratio", m.cycles_ratio()),
+                ("host_ratio", m.host_ratio()),
+            ] {
+                let Some(baseline) = entry.get_f64(quantity) else {
+                    missing.push(format!("gate case `{name}` has no {quantity}"));
+                    continue;
+                };
+                let measured = measured * perturb;
+                let limit = baseline * (1.0 + TOLERANCE);
+                judge(
+                    measured > limit,
+                    format!(
+                        "{name}: {quantity} {measured:.4} vs baseline {baseline:.4} (limit {limit:.4})"
+                    ),
+                );
+            }
+            if let Some(r2) = m.r2 {
+                let r2 = r2 / perturb;
+                judge(
+                    r2 < R2_FLOOR,
+                    format!("{name}: r2 {r2:.4} (floor {R2_FLOOR:.4})"),
+                );
+            }
+        }
+        failures.extend(missing);
         if failures.is_empty() {
             Ok(report)
         } else {
@@ -509,6 +410,49 @@ mod tests {
                 .find(|(k, _)| *k == name)
                 .map(|(_, v)| (*v).to_string())
         }
+    }
+
+    fn measured(name: &'static str, r2: Option<f64>) -> gate::GateMeasurement {
+        gate::GateMeasurement {
+            name,
+            fork_cycles: 300,
+            full_cycles: 1000,
+            host_cycles: 100,
+            r2,
+        }
+    }
+
+    #[test]
+    fn a_written_baseline_passes_and_every_quantity_fails_perturbed() {
+        let cases = [measured("a", None), measured("b", Some(0.97))];
+        let baseline = gate::baseline_json(&cases);
+        let report = gate::check(&baseline, &cases, 1.0).expect("unchanged measurements pass");
+        assert_eq!(report.len(), 5, "{report:?}");
+        let failures = gate::check(&baseline, &cases, 1.5).expect_err("perturbed run fails");
+        assert_eq!(failures.len(), 5, "{failures:?}");
+        assert!(failures.iter().all(|line| line.starts_with("REGRESSION ")));
+        assert!(
+            failures[4].contains("b: r2 0.6467 (floor 0.8500)"),
+            "{failures:?}"
+        );
+    }
+
+    #[test]
+    fn a_case_missing_from_either_side_fails_the_gate() {
+        let baseline = gate::baseline_json(&[measured("a", None), measured("gone", None)]);
+        let failures = gate::check(
+            &baseline,
+            &[measured("a", None), measured("new", None)],
+            1.0,
+        )
+        .expect_err("mismatched case lists fail");
+        assert_eq!(
+            failures,
+            [
+                "gate case `gone` is unknown to this binary",
+                "gate case `new` has no baseline"
+            ]
+        );
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! repro predict (--benchmark LABEL | --iss NAME | --histogram op=N,..)
 //!               [--addr HOST:PORT] [--target iu|cmem|whole] [--kind KIND]
 //!               [--fingerprint FP] [--json]
-//! repro benchgate [--baseline PATH] [--perturb F] [--threads N]
+//! repro benchgate [--baseline PATH] [--perturb F] [--write]
 //! repro netcheck [--deny dead-nets,graph-mismatch] [--threads N]
 //! ```
 //!
@@ -50,10 +50,13 @@
 //! and journal errors are reported on stderr with a nonzero exit code
 //! instead of a panic backtrace.
 //!
-//! `benchgate` is the CI bench-regression gate: it re-measures the gate
-//! campaigns and compares their deterministic fork/full cycle ratios
-//! against the `gate` section committed in `BENCH_campaign.json`,
-//! failing (exit 1) on any regression beyond the in-file tolerance.
+//! `benchgate` is the CI bench-regression gate and the repository's one
+//! bench harness (see [`bench::gate`]): it runs every gate case on both
+//! engines on one thread and compares each case's fork/full ratios of
+//! billed and of host-stepped cycles, and a correlation sweep's fitted
+//! R², against `BENCH_gate.json`, failing (exit 1) on any ratio beyond
+//! [`bench::gate::TOLERANCE`] or any R² below [`bench::gate::R2_FLOOR`].
+//! `--write` rewrites the baseline from the measurements instead.
 //!
 //! `fleet` drives the fault-tolerant distributed service: `coordinate`
 //! starts a coordinator (lease table + shard store), `run` starts a
@@ -1202,25 +1205,17 @@ fn run_predict(args: &[String]) {
     }
 }
 
-/// `repro benchgate [--baseline BENCH_campaign.json]
-/// [--checkpoint-baseline BENCH_checkpoint.json] [--perturb 1.0]
-/// [--threads N]` — the CI bench-regression gate. Re-measures the gate
-/// campaigns (including the checkpoint-tree gate's dense intermittent
-/// sweep and the correlation gate's Fig. 7 sweep) and compares their
-/// deterministic cycle ratios — plus the correlation fit's R² against
-/// its committed floor — against the committed baselines; exits 1 on
-/// any regression beyond the in-file tolerance. `--perturb` degrades
-/// the measured quantities (ratios up, R² down) so CI can prove the
-/// gate fails when the engine slows down or the fit collapses.
-fn run_benchgate(config: &ExperimentConfig, args: &[String]) {
-    const USAGE: &str = "usage: repro benchgate [--baseline <path>] \
-                         [--checkpoint-baseline <path>] [--correlation-baseline <path>] \
-                         [--perturb <factor>] [--threads N]";
-    let mut baseline = "BENCH_campaign.json".to_string();
-    let mut checkpoint_baseline = "BENCH_checkpoint.json".to_string();
-    let mut correlation_baseline = "BENCH_correlation.json".to_string();
+/// `repro benchgate [--baseline PATH] [--perturb F] [--write]` — the CI
+/// bench-regression gate (see [`bench::gate`]). Measures every gate case
+/// on one thread and compares it against the baseline (default
+/// `BENCH_gate.json`); exits 1 on any regression. `--perturb` degrades the
+/// measured quantities (ratios up, R² down) so CI can prove each gate
+/// fires; `--write` rewrites the baseline from the measurements instead.
+fn run_benchgate(args: &[String]) {
+    const USAGE: &str = "usage: repro benchgate [--baseline <path>] [--perturb <factor>] [--write]";
+    let mut baseline = bench::gate::BASELINE.to_string();
     let mut perturb = 1.0_f64;
-    let mut threads = config.threads;
+    let mut write = false;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         let mut value = |flag: &str| {
@@ -1231,8 +1226,6 @@ fn run_benchgate(config: &ExperimentConfig, args: &[String]) {
         };
         match arg.as_str() {
             "--baseline" => baseline = value("--baseline"),
-            "--checkpoint-baseline" => checkpoint_baseline = value("--checkpoint-baseline"),
-            "--correlation-baseline" => correlation_baseline = value("--correlation-baseline"),
             "--perturb" => {
                 let raw = value("--perturb");
                 perturb = raw.parse().unwrap_or_else(|_| {
@@ -1240,47 +1233,48 @@ fn run_benchgate(config: &ExperimentConfig, args: &[String]) {
                     std::process::exit(2);
                 });
             }
-            "--threads" => {
-                threads = parse_usize("--threads", value("--threads"), USAGE).max(1);
-            }
+            "--write" => write = true,
             other => {
                 eprintln!("unknown flag `{other}`\n{USAGE}");
                 std::process::exit(2);
             }
         }
     }
-    let mut failed = false;
-    for (path, check) in [
-        (
-            &baseline,
-            &bench::gate::check as &dyn Fn(&str, usize, f64) -> Result<Vec<String>, Vec<String>>,
-        ),
-        (&checkpoint_baseline, &bench::gate::check_checkpoint),
-        (&correlation_baseline, &bench::gate::check_correlation),
-    ] {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("[benchgate] cannot read `{path}`: {e}");
+    if write && perturb != 1.0 {
+        eprintln!("`--write` records unperturbed measurements\n{USAGE}");
+        std::process::exit(2);
+    }
+    let measurements: Vec<_> = bench::gate::CASES
+        .iter()
+        .map(bench::gate::measure)
+        .collect();
+    if write {
+        if let Err(e) = std::fs::write(&baseline, bench::gate::baseline_json(&measurements)) {
+            eprintln!("[benchgate] cannot write `{baseline}`: {e}");
             std::process::exit(1);
-        });
-        match check(&text, threads, perturb) {
-            Ok(report) => {
-                for line in report {
-                    println!("[benchgate] {line}");
-                }
+        }
+        println!("[benchgate] wrote {baseline}");
+        return;
+    }
+    let text = std::fs::read_to_string(&baseline).unwrap_or_else(|e| {
+        eprintln!("[benchgate] cannot read `{baseline}`: {e}");
+        std::process::exit(1);
+    });
+    match bench::gate::check(&text, &measurements, perturb) {
+        Ok(report) => {
+            for line in report {
+                println!("[benchgate] {line}");
             }
-            Err(failures) => {
-                failed = true;
-                for line in failures {
-                    eprintln!("[benchgate] {line}");
-                }
+            println!("[benchgate] PASS");
+        }
+        Err(failures) => {
+            for line in failures {
+                eprintln!("[benchgate] {line}");
             }
+            eprintln!("[benchgate] FAIL");
+            std::process::exit(1);
         }
     }
-    if failed {
-        eprintln!("[benchgate] FAIL");
-        std::process::exit(1);
-    }
-    println!("[benchgate] PASS");
 }
 
 /// `repro netcheck [--deny CHECK,...] [--threads N]` — the static model
@@ -1515,7 +1509,7 @@ fn main() {
         }
         "benchgate" => {
             let rest: Vec<String> = std::env::args().skip(2).collect();
-            run_benchgate(&config, &rest);
+            run_benchgate(&rest);
         }
         "netcheck" => {
             let rest: Vec<String> = std::env::args().skip(2).collect();

@@ -74,6 +74,7 @@ use sparc_iss::{BusEvent, Exit, StepEvent};
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::PoisonError;
 use std::time::{Duration, Instant};
 
@@ -84,6 +85,30 @@ use std::time::{Duration, Instant};
 /// boundary was thinned away replay the bounded gap from the nearest
 /// surviving ancestor checkpoint instead.
 pub const MAX_POOL_CHECKPOINTS: usize = 32;
+
+/// Cycles the campaign engine has stepped on the host in this process.
+static HOST_CYCLES: AtomicU64 = AtomicU64::new(0);
+
+/// Cycles the campaign engine has stepped on the host since the process
+/// started, over every campaign on every thread: each checkpoint pool's
+/// prefix, each golden-shadow sweep window's first pass and re-step, each
+/// job's own run from its window start, and each full re-execution run.
+/// Golden capture is not counted. Read it before and after a campaign for
+/// that campaign's count while nothing else runs.
+///
+/// [`CampaignStats::cycles_simulated`] bills each job as if it ran alone
+/// from its pool ancestor, so it does not move when the sweep steps less;
+/// this count does. It is kept out of records, stats, journals and
+/// fingerprints, which must not depend on how the host got the result.
+pub fn host_cycles() -> u64 {
+    HOST_CYCLES.load(Ordering::Relaxed)
+}
+
+/// Add a finished run's cycles to [`host_cycles`]: once per pool, window
+/// or run, never per step.
+fn count_host_cycles(cycles: u64) {
+    HOST_CYCLES.fetch_add(cycles, Ordering::Relaxed);
+}
 
 /// The fault-free reference execution of a workload on the RTL model.
 #[derive(Debug, Clone)]
@@ -992,6 +1017,7 @@ impl Campaign {
             bytes += snapshot.approx_bytes() as u64;
             checkpoints.push(Checkpoint { snapshot, steps });
         }
+        count_host_cycles(cpu.cycles());
         Some(CheckpointPool { checkpoints, bytes })
     }
 
@@ -1762,6 +1788,7 @@ fn run_job(
         cpu.inject(fault);
     }
     let run = observe(cpu, ctx.golden, job.injection_cycle, 0, 0, deadline);
+    count_host_cycles(cpu.cycles());
     tally.cycles_simulated += cpu.cycles();
     tally.short_circuited += usize::from(run.short_circuited);
     tally.timed_out += usize::from(run.timed_out);
@@ -1861,6 +1888,7 @@ fn sweep(
                 window.trace_len(),
                 deadline,
             );
+            count_host_cycles(cpu.cycles() - window.cycle());
             pool.bill(golden, job, cpu.cycles(), tally);
             tally.short_circuited += usize::from(run.short_circuited);
             tally.timed_out += usize::from(run.timed_out);
@@ -1953,6 +1981,7 @@ fn sweep(
             halted = cpu.step() == StepEvent::Stopped;
             stepped += 1;
         }
+        count_host_cycles(cpu.cycles() - window.cycle());
         leaving.clear();
         leaving.extend(cpu.diverged_shadow_owners());
         if !leaving.is_empty() {
@@ -1974,6 +2003,7 @@ fn sweep(
             for _ in 0..stepped {
                 cpu.step();
             }
+            count_host_cycles(cpu.cycles() - window.cycle());
             debug_assert!(
                 cpu.diverged_shadow_owners().next().is_none(),
                 "a re-stepped window diverged"

@@ -79,8 +79,8 @@ pub mod wire;
 
 pub use bridging::{bridge_pairs, bridge_pf, BridgeRecord, BridgingCampaign};
 pub use campaign::{
-    Campaign, ExecOptions, Execution, GoldenRun, InjectionInstant, JournalMode, PreparedWorkload,
-    MAX_POOL_CHECKPOINTS,
+    host_cycles, Campaign, ExecOptions, Execution, GoldenRun, InjectionInstant, JournalMode,
+    PreparedWorkload, MAX_POOL_CHECKPOINTS,
 };
 pub use correlation::{
     fitted_model_from_obj, fitted_model_to_json, merge_correlation_shards, CellMeasurement,

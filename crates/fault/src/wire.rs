@@ -25,6 +25,14 @@ use rtl_sim::{FaultKind, NetId};
 use sparc_isa::Unit;
 use std::fmt::Write as _;
 
+/// Deepest nesting of arrays and objects [`Json::parse`] accepts. The
+/// deepest document the dialect emits is a correlation shard at 7 levels
+/// (shard, results array, shard result, result, records array, record,
+/// outcome). The parser recurses once per level, so without a cap a
+/// request body of 10,000 `[` bytes overflows a server thread's stack;
+/// past the cap it is an error instead.
+pub const MAX_DEPTH: usize = 64;
+
 /// The JSON subset the journal and the campaign service use: objects,
 /// arrays, strings, unsigned integers, finite floats and booleans.
 /// Hand-rolled to keep the workspace hermetic.
@@ -56,6 +64,7 @@ impl Json {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -330,6 +339,8 @@ pub fn target_from_token(token: &str) -> Option<Target> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the cursor.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -362,8 +373,22 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nested deeper than {MAX_DEPTH} levels at offset {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let value = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b'0'..=b'9' | b'-') => self.number(),
             Some(b't') => self.literal("true", Json::Bool(true)),
@@ -1099,6 +1124,18 @@ mod tests {
         assert!(Json::parse("-").is_err());
         assert!(Json::parse("-.5").is_err());
         assert!(Json::parse(r#"{"x":-}"#).is_err());
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_an_error_not_a_stack_overflow() {
+        // A spawned thread's stack is the size a server thread gets.
+        let deep = std::thread::spawn(|| Json::parse(&"[".repeat(100_000)))
+            .join()
+            .expect("the parser returns instead of overflowing its stack");
+        assert!(deep.is_err_and(|e| e.starts_with("nested deeper than 64 levels")));
+        let nested = |levels: usize| format!("{}{}", "[".repeat(levels), "]".repeat(levels));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nested(MAX_DEPTH + 1)).is_err());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Largest request body the server accepts (a merge of many shard ids is
 /// tiny; campaign specs are smaller still).
@@ -23,6 +23,12 @@ pub const MAX_HEAD: usize = 8 << 10;
 /// client that connects and then sends (or reads) nothing holds up every
 /// other route.
 pub const IO_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// How long a server gives one request (request line, headers and body
+/// together) before refusing it. It is checked after each read, so a
+/// client that trickles one byte per [`IO_TIMEOUT`] holds the accept loop
+/// for at most this plus one [`IO_TIMEOUT`], not for [`MAX_HEAD`] reads.
+pub const REQUEST_DEADLINE: Duration = Duration::from_secs(5);
 
 /// Accept one connection with [`IO_TIMEOUT`] set on its reads and writes.
 ///
@@ -48,17 +54,39 @@ pub struct Request {
     pub body: String,
 }
 
+/// A reader whose every read fails once `deadline` has passed.
+struct Deadline<R> {
+    inner: R,
+    deadline: Instant,
+}
+
+impl<R: Read> Read for Deadline<R> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.inner.read(buf)?;
+        if Instant::now() > self.deadline {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::TimedOut,
+                "request not received within its deadline",
+            ));
+        }
+        Ok(n)
+    }
+}
+
 /// Read one request from the stream.
 ///
 /// # Errors
 ///
-/// Fails on I/O errors (a timed-out read included), a request line plus
-/// headers longer than [`MAX_HEAD`], a malformed request line, a
-/// non-numeric or oversized `Content-Length`, or a body that is not
-/// UTF-8.
+/// Fails on I/O errors (a timed-out read included), a request that is
+/// still arriving after [`REQUEST_DEADLINE`], a request line plus headers
+/// longer than [`MAX_HEAD`], a malformed request line, a non-numeric or
+/// oversized `Content-Length`, or a body that is not UTF-8.
 pub fn read_request(stream: &TcpStream) -> std::io::Result<Request> {
     let bad = |reason: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, reason);
-    let mut reader = BufReader::new(stream.try_clone()?);
+    let mut reader = BufReader::new(Deadline {
+        inner: stream.try_clone()?,
+        deadline: Instant::now() + REQUEST_DEADLINE,
+    });
     let mut head = (&mut reader).take(MAX_HEAD as u64);
     let mut read_head_line = |line: &mut String| {
         let n = head.read_line(line)?;

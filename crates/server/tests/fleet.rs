@@ -3,10 +3,11 @@
 
 use fault_inject::{AttackTarget, ExecOptions, InjectionInstant, JournalMode, Target};
 use rtl_sim::FaultKind;
+use std::io::Write as _;
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
-use verifd::http::IO_TIMEOUT;
+use verifd::http::{IO_TIMEOUT, REQUEST_DEADLINE};
 use verifd::{client, CampaignSpec, Coordinator, CoordinatorConfig, Runner, RunnerConfig};
 use workloads::Benchmark;
 
@@ -571,5 +572,36 @@ fn an_idle_connection_does_not_stall_the_coordinator() {
     assert!(!reply.expect("healthz"), "not draining");
     drop(idle);
     coordinator.shutdown().expect("shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_trickling_client_does_not_stall_the_coordinator() {
+    let dir = tempdir("trickle");
+    let coordinator = Coordinator::start(fast_config(&dir)).expect("bind coordinator");
+    let addr = coordinator.addr().to_string();
+    // Connects, then sends a request head one byte per second until the
+    // coordinator hangs up; the accept loop takes it first.
+    let mut stream = TcpStream::connect(&addr).expect("trickling connection");
+    let slow = std::thread::spawn(move || {
+        let head = b"GET /healthz HTTP/1.1\r\nx-slow: ";
+        for &byte in head.iter().chain(std::iter::repeat(&b'x')).take(60) {
+            if stream.write_all(&[byte]).is_err() {
+                return;
+            }
+            std::thread::sleep(Duration::from_secs(1));
+        }
+    });
+    let (tx, rx) = std::sync::mpsc::channel();
+    let probe = addr.clone();
+    std::thread::spawn(move || {
+        let _ = tx.send(client::healthz(&probe));
+    });
+    let reply = rx
+        .recv_timeout(REQUEST_DEADLINE + IO_TIMEOUT + Duration::from_secs(2))
+        .expect("/healthz must answer within the request deadline plus slack");
+    assert!(!reply.expect("healthz"), "not draining");
+    coordinator.shutdown().expect("shutdown");
+    slow.join().expect("trickling client");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -6,7 +6,7 @@ use rtl_sim::FaultKind;
 use std::io::Write as _;
 use std::net::TcpStream;
 use std::time::Duration;
-use verifd::http::{read_response, IO_TIMEOUT, MAX_HEAD};
+use verifd::http::{read_response, IO_TIMEOUT, MAX_HEAD, REQUEST_DEADLINE};
 use verifd::{client, CampaignSpec, Server, ServerConfig};
 use workloads::Benchmark;
 
@@ -410,6 +410,42 @@ fn an_over_long_header_line_is_refused_and_the_service_goes_on() {
     assert_eq!(status, 400, "{body}");
     assert!(body.contains("too large"), "{body}");
     drop(stream);
+    let reply = healthz_within(&addr, IO_TIMEOUT).expect("/healthz answers");
+    assert!(!reply.expect("healthz"), "not draining");
+    server.shutdown().expect("shutdown");
+}
+
+#[test]
+fn a_trickling_client_does_not_stall_the_service() {
+    let (server, addr) = start(1, None);
+    // Connects, then sends a request head one byte per second until the
+    // service hangs up; the accept loop takes it first.
+    let mut stream = TcpStream::connect(&addr).expect("trickling connection");
+    let slow = std::thread::spawn(move || {
+        let head = b"GET /healthz HTTP/1.1\r\nx-slow: ";
+        for &byte in head.iter().chain(std::iter::repeat(&b'x')).take(60) {
+            if stream.write_all(&[byte]).is_err() {
+                return;
+            }
+            std::thread::sleep(Duration::from_secs(1));
+        }
+    });
+    let limit = REQUEST_DEADLINE + IO_TIMEOUT + Duration::from_secs(2);
+    let reply = healthz_within(&addr, limit)
+        .expect("/healthz must answer within the request deadline plus slack");
+    assert!(!reply.expect("healthz"), "not draining");
+    server.shutdown().expect("shutdown");
+    slow.join().expect("trickling client");
+}
+
+#[test]
+fn a_deeply_nested_body_is_refused_and_the_service_goes_on() {
+    let (server, addr) = start(1, None);
+    let body = "[".repeat(10_000);
+    match client::request(&addr, "POST", "/campaign", &body) {
+        Ok((400, _)) => {}
+        other => panic!("expected 400, got {other:?}"),
+    }
     let reply = healthz_within(&addr, IO_TIMEOUT).expect("/healthz answers");
     assert!(!reply.expect("healthz"), "not draining");
     server.shutdown().expect("shutdown");
