@@ -110,19 +110,31 @@ pub mod gate {
     }
 
     /// Every gate case, in report order.
-    pub const CASES: [GateCase; 5] = [
+    pub const CASES: [GateCase; 6] = [
         // Permanent faults, one case per fault domain the engine treats
         // differently.
         GateCase {
             name: "intbench-iu",
             workload: Workload::Campaign(|| {
-                (smoke(Benchmark::Intbench, Target::IntegerUnit), vec![])
+                (
+                    smoke(Benchmark::Intbench, Target::IntegerUnit, 0xbe),
+                    vec![],
+                )
             }),
         },
         GateCase {
             name: "rspeed-cmem",
             workload: Workload::Campaign(|| {
-                (smoke(Benchmark::Rspeed, Target::CacheMemory), vec![])
+                (smoke(Benchmark::Rspeed, Target::CacheMemory, 0xbe), vec![])
+            }),
+        },
+        // Most of this sample's own-run cycles are stuck-at hangs in exact
+        // loops: a change that stopped closing them would step about
+        // seven times the host cycles.
+        GateCase {
+            name: "canrdr-iu-hang-loop",
+            workload: Workload::Campaign(|| {
+                (smoke(Benchmark::Canrdr, Target::IntegerUnit, 7), vec![])
             }),
         },
         // Time-varying faults over twelve instants and a stride grid: the
@@ -158,10 +170,11 @@ pub mod gate {
         },
     ];
 
-    /// Stuck-at-1 and open-line faults at 30% of the golden run.
-    fn smoke(benchmark: Benchmark, target: Target) -> Campaign {
+    /// Stuck-at-1 and open-line faults on twelve sites sampled with
+    /// `seed`, at 30% of the golden run.
+    fn smoke(benchmark: Benchmark, target: Target, seed: u64) -> Campaign {
         Campaign::new(benchmark.program(&Params::default()), target)
-            .with_sample(12, 0xbe)
+            .with_sample(12, seed)
             .with_kinds(&[FaultKind::StuckAt1, FaultKind::OpenLine])
             .with_injection_fraction(0.3)
     }

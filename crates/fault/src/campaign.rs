@@ -13,9 +13,12 @@
 //! a fault acts only through reads, so each worker steps one golden run
 //! with every job's faults armed as shadow faults, and a job runs on a
 //! model of its own only from the sweep window in which its fault first
-//! changes a read (or, for a transient or burst fault, activates). Jobs
+//! changes a read. A transient or burst fault changes a stored value when
+//! it activates, so its job runs on its own from its pool ancestor. Jobs
 //! still on the sweep when the golden run halts are `NoEffect` without a
-//! run of their own. Two further cost levers ride on the same machinery:
+//! run of their own, and a job's own run that proves its faulty machine
+//! loops exactly skips to its hang budget (see [`observe`]). Two further
+//! cost levers ride on the same machinery:
 //!
 //! * **site-activation tracking** — the golden run records, per net, the
 //!   cycle of its last read. A permanent fault is observable only through a
@@ -67,8 +70,8 @@ use crate::sites::{fault_sites, sample_sites, targeted_sites, AttackTarget, Faul
 use crate::static_analysis::{PrunedBy, StaticAnalysis};
 use crate::wire::kind_to_token;
 use analysis::SplitMix64;
-use leon3_model::{Leon3, Leon3Config, Mark, Snapshot};
-use rtl_sim::{Fault, FaultKind, NetId, ShadowTable};
+use leon3_model::{Leon3, Leon3Config, LoopMark, Snapshot};
+use rtl_sim::{Fault, FaultKind, NetId};
 use sparc_asm::Program;
 use sparc_iss::{BusEvent, Exit, StepEvent};
 use std::fmt::Write as _;
@@ -92,9 +95,10 @@ static HOST_CYCLES: AtomicU64 = AtomicU64::new(0);
 /// Cycles the campaign engine has stepped on the host since the process
 /// started, over every campaign on every thread: each checkpoint pool's
 /// prefix, each golden-shadow sweep window's first pass and re-step, each
-/// job's own run from its window start, and each full re-execution run.
-/// Golden capture is not counted. Read it before and after a campaign for
-/// that campaign's count while nothing else runs.
+/// job's own run from its window start or pool ancestor, and each full
+/// re-execution run. Golden capture is not counted, and neither are the
+/// cycles a closed hang loop skips. Read it before and after a campaign
+/// for that campaign's count while nothing else runs.
 ///
 /// [`CampaignStats::cycles_simulated`] bills each job as if it ran alone
 /// from its pool ancestor, so it does not move when the sweep steps less;
@@ -298,12 +302,14 @@ pub enum Execution {
     /// periodic grid). Each worker then restores the shallowest checkpoint
     /// its jobs need and steps the golden run with every job's faults
     /// armed as shadows; a job runs on its own only from the sweep window
-    /// in which its fault first changes a read. Jobs whose nets the golden
-    /// run never reads from the injection instant on are classified
-    /// without simulation. Each job is billed as a fork from its own
-    /// nearest ancestor checkpoint, and there is no full-re-execution
-    /// fallback: the reset-state checkpoint is an ancestor of every
-    /// instant.
+    /// in which its fault first changes a read. Transient and burst jobs
+    /// run on their own from their pool ancestor, and an own run whose
+    /// faulty machine loops exactly skips to its hang budget. Jobs whose
+    /// nets the golden run never reads from the injection instant on are
+    /// classified without simulation. Each job is billed as a fork from
+    /// its own nearest ancestor checkpoint, and there is no
+    /// full-re-execution fallback: the reset-state checkpoint is an
+    /// ancestor of every instant.
     #[default]
     Fork,
     /// Re-simulate every job from reset. Kept as the equivalence baseline
@@ -492,13 +498,24 @@ impl Campaign {
 
     /// Drop a periodic checkpoint into the fork engine's pool every
     /// `stride` cycles of the golden trajectory, in addition to the
-    /// per-boundary checkpoints. A denser grid shortens the fault-free
-    /// gap a thinned-pool job must replay at the price of snapshot
-    /// memory; without it the pool holds only the reset state and the
-    /// requested injection boundaries. A zero stride is reported as
-    /// [`CampaignError::ZeroCheckpointStride`] when the campaign runs.
-    /// The stride enters the configuration fingerprint (it changes every
-    /// job's cost delta), so a resumed journal must agree on it.
+    /// per-boundary checkpoints; without it the pool holds only the reset
+    /// state and the requested injection boundaries.
+    ///
+    /// What the grid changes is the pool: its memory, and, once the
+    /// candidates exceed [`MAX_POOL_CHECKPOINTS`], which of them survive
+    /// the thinning. Each job is billed from its nearest surviving
+    /// ancestor, and a transient or burst job also runs from there, so
+    /// the replay gap before its injection boundary is stepped too. Every
+    /// other job rides the golden-shadow sweep, which steps the same
+    /// cycles whatever the pool. A requested boundary always has a
+    /// checkpoint of its own unless the pool is thinned, so the grid never
+    /// shortens a replay below the cap and can lengthen one above it, by
+    /// taking slots from injection boundaries.
+    ///
+    /// A zero stride is reported as
+    /// [`CampaignError::ZeroCheckpointStride`] when the campaign runs. The
+    /// stride enters the configuration fingerprint (it changes every job's
+    /// cost delta), so a resumed journal must agree on it.
     #[must_use]
     pub fn with_checkpoint_stride(mut self, stride: u64) -> Campaign {
         self.checkpoint_stride = Some(stride);
@@ -1787,7 +1804,7 @@ fn run_job(
     for fault in job.faults() {
         cpu.inject(fault);
     }
-    let run = observe(cpu, ctx.golden, job.injection_cycle, 0, 0, deadline);
+    let run = observe(cpu, ctx.golden, job.injection_cycle, 0, 0, deadline, false);
     count_host_cycles(cpu.cycles());
     tally.cycles_simulated += cpu.cycles();
     tally.short_circuited += usize::from(run.short_circuited);
@@ -1810,17 +1827,20 @@ thread_local! {
 /// **golden-shadow sweep**.
 ///
 /// A job whose nets the golden run never reads from its injection instant
-/// on is classified `NoEffect` at once. The rest are armed as shadow
-/// faults on one golden run, restored from the shallowest pool checkpoint
-/// they need and stepped in windows of [`SWEEP_WINDOW_STEPS`]. A fault
-/// acts only through reads, so a job's faulty machine is the golden one
-/// until its first *effective divergence*: a read of its net that the
-/// fault would change, or the activation of a transient or burst fault.
-/// A job that diverges inside a window runs on its own from that window's
-/// start snapshot once the window ends, with its fault state carried over;
-/// then the window is stepped again without it (the same reads, so no
-/// other shadow diverges there). Jobs still on the sweep when the golden
-/// run halts are `NoEffect`, classified from the sweep's final trace.
+/// on is classified `NoEffect` at once. A transient or burst job diverges
+/// when its fault activates, which the golden trajectory dates before any
+/// window is stepped, so it runs on its own from its pool ancestor. The
+/// rest are armed as shadow faults on one golden run, restored from the
+/// shallowest pool checkpoint they need and stepped in windows of
+/// [`SWEEP_WINDOW_STEPS`]. A fault acts only through reads, so such a
+/// job's faulty machine is the golden one until its first *effective
+/// divergence*: a read of its net that the fault would change. A job that
+/// diverges inside a window runs on its own from that window's start
+/// snapshot once the window ends, with its fault state carried over; then
+/// the window is stepped again without it (the same reads, so no other
+/// shadow diverges there). Jobs still on the sweep when the golden run
+/// halts are `NoEffect`, classified from the sweep's final trace. Every
+/// own run closes a proven hang loop (see [`observe`]).
 ///
 /// Every job is billed as if it had been restored from its own pool
 /// ancestor and stepped to its end cycle, so records and stats are those
@@ -1838,16 +1858,47 @@ fn sweep(
     publish: &impl Fn(usize, FaultOutcome, Detection, CampaignStats),
 ) {
     let golden = ctx.golden;
+    // A job runs on its own once `enter` has put the model where it
+    // starts: at `steps` into the run, its faults injected, with what the
+    // `spent` sweep time left of its deadline.
+    let run_own =
+        |cpu: &mut Leon3, idx: usize, enter: &dyn Fn(&mut Leon3), steps: u64, spent: Duration| {
+            let job = &jobs[idx];
+            let (outcome, detection, delta) = isolated(|tally| {
+                let deadline = ctx
+                    .deadline
+                    .map(|d| Instant::now() + d.saturating_sub(spent));
+                #[cfg(test)]
+                OWN_RUNS.with(|runs| runs.set(runs.get() + 1));
+                enter(cpu);
+                let from = cpu.cycles();
+                let trace_len = cpu.bus_trace().len();
+                let run = observe(
+                    cpu,
+                    golden,
+                    job.injection_cycle,
+                    steps,
+                    trace_len,
+                    deadline,
+                    true,
+                );
+                count_host_cycles(cpu.cycles() - from - run.skipped_cycles);
+                pool.bill(golden, job, cpu.cycles(), tally);
+                tally.short_circuited += usize::from(run.short_circuited);
+                tally.timed_out += usize::from(run.timed_out);
+                let detection = classify_run(cpu, ctx, job, &run);
+                (run.outcome, detection)
+            });
+            publish(idx, outcome, detection, delta);
+        };
     let mut on_sweep = Vec::with_capacity(mine.len());
     for &idx in mine {
         let job = &jobs[idx];
-        if job
+        if !job
             .sites()
             .iter()
             .any(|s| golden.net_exercised_from(s.net, job.injection_cycle))
         {
-            on_sweep.push(idx);
-        } else {
             // The fault can never be read: the faulty run reproduces the
             // golden run to the end by construction (and no mechanism can
             // fire).
@@ -1857,46 +1908,23 @@ fn sweep(
                 ..CampaignStats::default()
             };
             publish(idx, FaultOutcome::NoEffect, Detection::Undetected, delta);
+        } else if matches!(
+            job.kind,
+            FaultKind::TransientFlip | FaultKind::TransientBurst { .. }
+        ) {
+            // A transient or burst fault diverges when it activates, a
+            // cycle the golden trajectory dates before any window is
+            // stepped: riding the sweep would only step that stretch twice.
+            let from = pool.ancestor(golden, job);
+            let enter = |cpu: &mut Leon3| {
+                cpu.restore(&from.snapshot);
+                job.faults().for_each(|fault| cpu.inject(fault));
+            };
+            run_own(cpu, idx, &enter, from.steps, Duration::ZERO);
+        } else {
+            on_sweep.push(idx);
         }
     }
-    // A job leaves the sweep to run on its own from a window's start, its
-    // faults injected afresh or carried over from the shadow table saved
-    // there, with what the `spent` sweep time left of its deadline.
-    let run_own = |cpu: &mut Leon3,
-                   idx: usize,
-                   window: &Mark,
-                   steps: u64,
-                   carried: Option<&ShadowTable>,
-                   spent: Duration| {
-        let job = &jobs[idx];
-        let (outcome, detection, delta) = isolated(|tally| {
-            let deadline = ctx
-                .deadline
-                .map(|d| Instant::now() + d.saturating_sub(spent));
-            #[cfg(test)]
-            OWN_RUNS.with(|runs| runs.set(runs.get() + 1));
-            cpu.rewind(window);
-            match carried {
-                Some(table) => cpu.inject_shadowed(table, idx),
-                None => job.faults().for_each(|fault| cpu.inject(fault)),
-            }
-            let run = observe(
-                cpu,
-                golden,
-                job.injection_cycle,
-                steps,
-                window.trace_len(),
-                deadline,
-            );
-            count_host_cycles(cpu.cycles() - window.cycle());
-            pool.bill(golden, job, cpu.cycles(), tally);
-            tally.short_circuited += usize::from(run.short_circuited);
-            tally.timed_out += usize::from(run.timed_out);
-            let detection = classify_run(cpu, ctx, job, &run);
-            (run.outcome, detection)
-        });
-        publish(idx, outcome, detection, delta);
-    };
     let Some(start) = on_sweep
         .iter()
         .map(|&idx| pool.ancestor(golden, &jobs[idx]))
@@ -1924,7 +1952,11 @@ fn sweep(
         let accepted = jobs[idx].faults().all(|fault| cpu.pool().accepts(&fault));
         if !accepted {
             let spent = spent(&starts, swept, idx);
-            run_own(cpu, idx, &window, window_steps, None, spent);
+            let enter = |cpu: &mut Leon3| {
+                cpu.rewind(&window);
+                jobs[idx].faults().for_each(|fault| cpu.inject(fault));
+            };
+            run_own(cpu, idx, &enter, window_steps, spent);
             cpu.rewind(&window);
         }
         accepted
@@ -1955,6 +1987,7 @@ fn sweep(
                     short_circuited: false,
                     timed_out: true,
                     matched: window.trace_len(),
+                    skipped_cycles: 0,
                 };
                 let mut delta = CampaignStats {
                     timed_out: 1,
@@ -1989,7 +2022,11 @@ fn sweep(
             leaving.dedup();
             for &idx in &leaving {
                 let spent = spent(&starts, swept, idx);
-                run_own(cpu, idx, &window, window_steps, Some(&saved), spent);
+                let enter = |cpu: &mut Leon3| {
+                    cpu.rewind(&window);
+                    cpu.inject_shadowed(&saved, idx);
+                };
+                run_own(cpu, idx, &enter, window_steps, spent);
             }
             on_sweep.retain(|idx| leaving.binary_search(idx).is_err());
             if on_sweep.is_empty() {
@@ -2024,6 +2061,7 @@ fn sweep(
         short_circuited: false,
         timed_out: false,
         matched: golden.writes.len(),
+        skipped_cycles: 0,
     };
     for &idx in &on_sweep {
         let job = &jobs[idx];
@@ -2064,6 +2102,27 @@ pub(crate) struct Observation {
     /// Leading writes that matched the golden stream — where the lockstep
     /// divergence cursor stopped, for outcomes that carry no index.
     matched: usize,
+    /// Cycles a closed loop skipped, which the host never stepped.
+    skipped_cycles: u64,
+}
+
+/// A hunt for an exact repeat of a faulty run's state: Brent's cycle
+/// detection, with the model's state at the last power-of-two step count
+/// as the tortoise and the running model as the hare.
+struct LoopHunt {
+    mark: LoopMark,
+    /// The run's step count when `mark` was taken.
+    marked_at: u64,
+    /// Steps after which the mark moves up to the hare.
+    power: u64,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Loop hunts [`observe`] started on this thread.
+    static LOOP_HUNTS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// Loops [`observe`] closed on this thread.
+    static LOOPS_CLOSED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// Run an already-prepared (loaded/restored and injected) model to
@@ -2072,6 +2131,13 @@ pub(crate) struct Observation {
 /// the divergence cursor when resuming from a prefix snapshot; both are 0
 /// for a run from reset. `deadline` is the cooperative wall-clock
 /// watchdog, checked every 256 steps.
+///
+/// With `close_loops`, a run that has gone longer without an off-core
+/// write than any gap of the golden run hunts for an exact repeat of its
+/// state while the model is closable (see [`Leon3::is_closable`]). Once
+/// one is proven, the run skips every whole pass through the loop that
+/// fits its hang budget, steps the rest, and ends in the `Hang` stepping
+/// all of it would have reached. Each new write restarts the hunt.
 pub(crate) fn observe(
     cpu: &mut Leon3,
     golden: &GoldenRun,
@@ -2079,17 +2145,22 @@ pub(crate) fn observe(
     steps_done: u64,
     writes_checked: usize,
     deadline: Option<Instant>,
+    mut close_loops: bool,
 ) -> Observation {
     // Budget: generous multiple of the golden run, so hangs terminate.
     let budget = golden.instructions * 2 + 10_000;
     let mut executed: u64 = steps_done;
     let mut checked: usize = writes_checked;
     let mut ticks: u32 = 0;
+    let mut last_write = cpu.bus_trace().events().last().map_or(0, |w| w.at);
+    let mut hunt: Option<LoopHunt> = None;
+    let mut skipped_cycles = 0;
     let stop = |outcome, matched| Observation {
         outcome,
         short_circuited: true,
         timed_out: false,
         matched,
+        skipped_cycles: 0,
     };
     loop {
         if let Some(d) = deadline {
@@ -2101,6 +2172,7 @@ pub(crate) fn observe(
                     short_circuited: false,
                     timed_out: true,
                     matched: checked,
+                    skipped_cycles,
                 };
             }
         }
@@ -2109,6 +2181,10 @@ pub(crate) fn observe(
         executed += 1;
         // Compare any newly produced writes against the golden stream.
         let writes = cpu.bus_trace().events();
+        if checked < writes.len() {
+            last_write = writes[writes.len() - 1].at;
+            hunt = None;
+        }
         while checked < writes.len() {
             let w = &writes[checked];
             match golden.writes.get(checked) {
@@ -2137,6 +2213,41 @@ pub(crate) fn observe(
         if event == StepEvent::Stopped {
             break;
         }
+        if close_loops && executed < budget {
+            match &mut hunt {
+                None => {
+                    if cpu.cycles() - last_write > golden.max_write_gap && cpu.is_closable() {
+                        #[cfg(test)]
+                        LOOP_HUNTS.with(|n| n.set(n.get() + 1));
+                        hunt = Some(LoopHunt {
+                            mark: cpu.loop_mark(),
+                            marked_at: executed,
+                            power: 1,
+                        });
+                    }
+                }
+                Some(h) => {
+                    let period = executed - h.marked_at;
+                    if cpu.repeats(&h.mark) {
+                        // Every pass takes `period` steps and the same
+                        // cycles, so skip the whole passes the budget has
+                        // room for and step the rest.
+                        let passes = (budget - executed) / period;
+                        let before = cpu.cycles();
+                        cpu.close_loop(&h.mark, passes);
+                        skipped_cycles = cpu.cycles() - before;
+                        executed += passes * period;
+                        close_loops = false;
+                        #[cfg(test)]
+                        LOOPS_CLOSED.with(|n| n.set(n.get() + 1));
+                    } else if period == h.power {
+                        h.mark = cpu.loop_mark();
+                        h.marked_at = executed;
+                        h.power *= 2;
+                    }
+                }
+            }
+        }
         if executed >= budget {
             return Observation {
                 outcome: FaultOutcome::Hang {
@@ -2145,6 +2256,7 @@ pub(crate) fn observe(
                 short_circuited: false,
                 timed_out: false,
                 matched: checked,
+                skipped_cycles,
             };
         }
     }
@@ -2178,6 +2290,7 @@ pub(crate) fn observe(
         short_circuited: false,
         timed_out: false,
         matched: checked,
+        skipped_cycles,
     }
 }
 
@@ -2201,7 +2314,7 @@ fn run_one(
         kind,
         from_cycle: injection_cycle,
     });
-    observe(cpu, golden, injection_cycle, 0, 0, None).outcome
+    observe(cpu, golden, injection_cycle, 0, 0, None, false).outcome
 }
 
 #[cfg(test)]
@@ -2706,6 +2819,151 @@ mod tests {
             other.execute(2, &on),
             Err(CampaignError::PreparedMismatch { field: "config" })
         ));
+    }
+
+    /// Loop hunts started and loops closed on this thread while `run` ran.
+    fn loop_counts<T>(run: impl FnOnce() -> T) -> (T, usize, usize) {
+        LOOP_HUNTS.with(|n| n.set(0));
+        LOOPS_CLOSED.with(|n| n.set(0));
+        let out = run();
+        let hunts = LOOP_HUNTS.with(std::cell::Cell::get);
+        (out, hunts, LOOPS_CLOSED.with(std::cell::Cell::get))
+    }
+
+    /// One job on bit 1 of `%l1` in the first register window, from cycle
+    /// 0, checked against full re-execution: its outcome, and the loop
+    /// hunts and closed loops of its fork-engine run.
+    fn counted_l1_job(
+        program: Program,
+        kind: FaultKind,
+        config: Leon3Config,
+    ) -> (FaultOutcome, usize, usize) {
+        let cpu = Leon3::new(config.clone());
+        let l1 = FaultSite {
+            net: cpu.nets().rf[sparc_isa::WindowedRegs::physical_index(0, sparc_isa::Reg::l(1))],
+            bit: 1,
+            unit: Unit::RegFile,
+        };
+        let campaign = Campaign::new(program, Target::IntegerUnit)
+            .with_sites(vec![l1])
+            .with_kinds(&[kind])
+            .with_injection_cycle(0)
+            .with_config(config);
+        let (fork, hunts, closed) = loop_counts(|| campaign.run(1));
+        let full = campaign.with_execution(Execution::FullReexecution).run(1);
+        assert_eq!(fork.records(), full.records());
+        (fork.records()[0].outcome.clone(), hunts, closed)
+    }
+
+    /// Counts `%l1` down from 1 once. With bit 1 read as 1 it never gets
+    /// there: it reads 3 and writes 2, reads 2 and writes 1, and so on.
+    fn countdown() -> Program {
+        assemble("_start: mov 1, %l1\nwait: subcc %l1, 1, %l1\n bne wait\n nop\n halt\n")
+            .expect("assembles")
+    }
+
+    #[test]
+    fn the_sampled_hang_loops_close() {
+        for (benchmark, seed) in [
+            (workloads::Benchmark::Canrdr, 7),
+            (workloads::Benchmark::Ttsprk, 12),
+            (workloads::Benchmark::Puwmod, 3),
+        ] {
+            let campaign = Campaign::new(
+                benchmark.program(&workloads::Params::default()),
+                Target::IntegerUnit,
+            )
+            .with_sample(12, seed)
+            .with_kinds(&[FaultKind::StuckAt1, FaultKind::OpenLine])
+            .with_injection_fraction(0.3);
+            let (result, _, closed) = loop_counts(|| campaign.run(1));
+            assert!(closed > 0, "{benchmark:?}");
+            let hangs = result
+                .records()
+                .iter()
+                .filter(|r| matches!(r.outcome, FaultOutcome::Hang { .. }))
+                .count();
+            assert!(
+                closed <= hangs,
+                "{benchmark:?}: {closed} closed, {hangs} hangs"
+            );
+        }
+    }
+
+    #[test]
+    fn a_hang_that_depends_on_the_clock_is_never_closed() {
+        let stuck = counted_l1_job(countdown(), FaultKind::StuckAt1, Leon3Config::default());
+        assert!(matches!(stuck.0, FaultOutcome::Hang { .. }), "{stuck:?}");
+        assert_eq!(stuck.2, 1, "the plain stuck-at loop closes");
+        // Always asserted, so the same loop; but an intermittent fault is
+        // judged against the clock on every read.
+        let intermittent = FaultKind::IntermittentStuck {
+            level: true,
+            period: 4,
+            duty: 4,
+            phase: 0,
+        };
+        let duty_cycled = counted_l1_job(countdown(), intermittent, Leon3Config::default());
+        assert_eq!(duty_cycled.0, stuck.0);
+        assert_eq!(duty_cycled.2, 0, "{duty_cycled:?}");
+        let timed = Leon3Config {
+            timer: true,
+            ..Leon3Config::default()
+        };
+        let timed = counted_l1_job(countdown(), FaultKind::StuckAt1, timed);
+        assert!(matches!(timed.0, FaultOutcome::Hang { .. }), "{timed:?}");
+        assert_eq!(timed.2, 0, "{timed:?}");
+    }
+
+    #[test]
+    fn a_faulty_run_that_keeps_storing_fails_and_is_never_closed() {
+        // The golden run waits 32 rounds and stores once. With bit 1 of
+        // `%l1` read as 1, every pass waits 96 or 64 rounds and stores
+        // again: a quiet stretch longer than any golden gap opens a hunt,
+        // and the next store ends the run as a failure.
+        let program = assemble(
+            r#"
+            _start:
+                set 0x40001000, %l0
+                mov 1, %l1
+            pass:
+                sll %l1, 5, %l2
+            wait:
+                subcc %l2, 1, %l2
+                bne wait
+                 nop
+                st %g0, [%l0]
+                subcc %l1, 1, %l1
+                bne pass
+                 nop
+                halt
+            "#,
+        )
+        .expect("assembles");
+        let (outcome, hunts, closed) =
+            counted_l1_job(program, FaultKind::StuckAt1, Leon3Config::default());
+        assert!(
+            matches!(outcome, FaultOutcome::Failure { divergence: 1, .. }),
+            "{outcome:?}"
+        );
+        assert!(hunts > 0, "the quiet stretch opens a hunt");
+        assert_eq!(closed, 0);
+    }
+
+    #[test]
+    fn no_hunt_starts_while_a_run_keeps_the_golden_write_rhythm() {
+        // The `rspeed-cmem` gate case: masked cache faults run late but
+        // store as often as the golden run.
+        let campaign = Campaign::new(
+            workloads::Benchmark::Rspeed.program(&workloads::Params::default()),
+            Target::CacheMemory,
+        )
+        .with_sample(12, 0xbe)
+        .with_kinds(&[FaultKind::StuckAt1, FaultKind::OpenLine])
+        .with_injection_fraction(0.3);
+        let (result, hunts, _) = loop_counts(|| campaign.run(1));
+        assert!(result.stats().forked > 0);
+        assert_eq!(hunts, 0);
     }
 
     #[test]

@@ -246,7 +246,7 @@ fn arb_predict_request() -> impl Strategy<Value = PredictRequest> {
     )
         .prop_map(
             |(by_name, label, histogram, target, kind, (has_fp, fp))| PredictRequest {
-                benchmark: by_name.then(|| label),
+                benchmark: by_name.then_some(label),
                 histogram: (!by_name).then_some(histogram),
                 target,
                 kind,

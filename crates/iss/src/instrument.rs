@@ -77,6 +77,33 @@ impl RunStats {
         self.opcode_counts[instr.op.index()] += 1;
     }
 
+    /// Count `times` more repetitions of everything counted since
+    /// `earlier`, a copy of these counters taken before: the counts after
+    /// a stretch of execution that repeats exactly.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a counter of `earlier` exceeds this one's (it was not
+    /// taken from this run before now), or a count overflows.
+    pub fn repeat_since(&mut self, earlier: &RunStats, times: u64) {
+        let repeat = |now: &mut u64, then: u64| {
+            let more = now
+                .checked_sub(then)
+                .expect("the earlier counts were taken before")
+                .checked_mul(times)
+                .expect("repeated count fits");
+            *now = now.checked_add(more).expect("repeated count fits");
+        };
+        repeat(&mut self.instructions, earlier.instructions);
+        repeat(&mut self.annulled, earlier.annulled);
+        repeat(&mut self.traps, earlier.traps);
+        repeat(&mut self.memory_instructions, earlier.memory_instructions);
+        repeat(&mut self.iu_instructions, earlier.iu_instructions);
+        for (now, &then) in self.opcode_counts.iter_mut().zip(&earlier.opcode_counts) {
+            repeat(now, then);
+        }
+    }
+
     /// Executed opcodes with their counts, in [`Opcode::ALL`] order.
     fn executed(&self) -> impl Iterator<Item = (Opcode, u64)> + '_ {
         Opcode::ALL

@@ -61,6 +61,25 @@ impl Mark {
     }
 }
 
+/// A state of a closable [`Leon3`] that later states of the same run are
+/// tested against for an exact repeat (see [`Leon3::repeats`]).
+///
+/// It holds what a closable model's execution can change and depends on:
+/// every raw net value, the bus trace's length and the parity latch.
+/// Every store leaves the core as a bus event, so an unchanged trace
+/// length means unchanged memory. It also holds what only counts — the
+/// clock, the statistics and the faithful-clocking accumulator — so that
+/// [`Leon3::close_loop`] can repeat what they counted.
+#[derive(Debug, Clone)]
+pub struct LoopMark {
+    pool: PoolCheckpoint,
+    pc: u32,
+    trace_len: usize,
+    parity_event: Option<u64>,
+    stats: RunStats,
+    eval_acc: u32,
+}
+
 impl Snapshot {
     /// The cycle at which the snapshot was captured.
     pub fn cycle(&self) -> u64 {
@@ -353,6 +372,81 @@ impl Leon3 {
         self.parity_event = snapshot.parity_event;
         self.waveform = None;
         self.recent.clear();
+    }
+
+    /// Whether the model is *closable*: it steps alike at every later
+    /// clock value, so a state it repeats exactly it repeats forever, with
+    /// the same cycles each time. That takes the timer off, a run that has
+    /// not stopped, no waveform or instruction window recording, and a
+    /// [time-invariant](NetPool::is_time_invariant) net pool. A model
+    /// stays closable until it stops or is injected, reset or restored.
+    pub fn is_closable(&self) -> bool {
+        !self.config.timer
+            && self.exit.is_none()
+            && self.waveform.is_none()
+            && self.trace_depth == 0
+            && self.pool.is_time_invariant()
+    }
+
+    /// Capture the current state as a [`LoopMark`].
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the model [is closable](Leon3::is_closable).
+    pub fn loop_mark(&self) -> LoopMark {
+        assert!(self.is_closable(), "loop marks need a closable model");
+        LoopMark {
+            pool: self.pool.checkpoint(),
+            pc: self.pool.read(self.nets.pc),
+            trace_len: self.trace.len(),
+            parity_event: self.parity_event,
+            stats: self.stats.clone(),
+            eval_acc: self.eval_acc,
+        }
+    }
+
+    /// Whether the model is back in the state `mark` captured: the same
+    /// PC (the cheap test, made first), bus-trace length, parity latch and
+    /// raw net values. For a mark taken earlier in this run, with nothing
+    /// injected since, a repeat proves that the model loops from here
+    /// forever through the steps it took since the mark.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mark` was taken from a model with a different net
+    /// population.
+    pub fn repeats(&self, mark: &LoopMark) -> bool {
+        self.pool.read(self.nets.pc) == mark.pc
+            && self.trace.len() == mark.trace_len
+            && self.parity_event == mark.parity_event
+            && self.pool.values_equal(&mark.pool)
+    }
+
+    /// Skip `periods` passes through the loop that [`Leon3::repeats`]
+    /// proved from `mark`: the clock, the statistics and the
+    /// faithful-clocking accumulator advance by `periods` times what they
+    /// advanced since the mark, and nothing else changes. The model is
+    /// left exactly as stepping through those passes would leave it.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the model is closable and repeats `mark`, or if a
+    /// count overflows.
+    pub fn close_loop(&mut self, mark: &LoopMark, periods: u64) {
+        assert!(
+            self.is_closable() && self.repeats(mark),
+            "only a closable model that repeats its mark may close the loop"
+        );
+        let cycles = (self.pool.cycle() - mark.pool.cycle())
+            .checked_mul(periods)
+            .expect("the closed loop's cycles fit");
+        self.pool.jump_clock(cycles);
+        self.stats.repeat_since(&mark.stats, periods);
+        // The accumulator wraps, so only `periods` modulo 2^32 matters.
+        let per_period = self.eval_acc.wrapping_sub(mark.eval_acc);
+        self.eval_acc = self
+            .eval_acc
+            .wrapping_add(per_period.wrapping_mul(periods as u32));
     }
 
     /// Record, per net, the cycle of its most recent read (used on golden
@@ -744,6 +838,7 @@ impl Leon3 {
 mod tests {
     use super::*;
     use sparc_asm::assemble;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn run(src: &str) -> (Leon3, RunOutcome) {
         let program = assemble(src).expect("assembles");
@@ -855,6 +950,85 @@ mod tests {
         assert_eq!(worker.cycles(), golden.cycles());
         assert_eq!(worker.architectural_state(), golden.architectural_state());
         assert_eq!(worker.stats(), golden.stats());
+    }
+
+    #[test]
+    fn closing_a_loop_leaves_the_model_as_stepping_would() {
+        // A countdown whose counter reads with bit 0 stuck at 1 never
+        // reaches zero: it reads 3 and writes 2, forever.
+        let program =
+            assemble("_start: mov 2, %l0\nloop: subcc %l0, 1, %l0\n bne loop\n nop\n halt\n")
+                .expect("assembles");
+        for faithful_clocking in [false, true] {
+            let config = Leon3Config {
+                faithful_clocking,
+                ..Leon3Config::default()
+            };
+            let mut stepped = Leon3::new(config.clone());
+            stepped.load(&program);
+            let l0 = WindowedRegs::physical_index(0, Reg::l(0));
+            stepped.inject(Fault {
+                net: stepped.nets().rf[l0],
+                bit: 0,
+                kind: rtl_sim::FaultKind::StuckAt1,
+                from_cycle: 0,
+            });
+            let mut closed = stepped.clone();
+            for _ in 0..50 {
+                closed.step();
+            }
+            assert!(closed.is_closable());
+            let mark = closed.loop_mark();
+            let mut period = 0;
+            loop {
+                closed.step();
+                period += 1;
+                if closed.repeats(&mark) {
+                    break;
+                }
+                assert!(period < 100, "the loop never repeats");
+            }
+            assert_eq!(period, 3, "subcc, bne, nop");
+            closed.close_loop(&mark, 1_000);
+            closed.step();
+            for _ in 0..50 + 3 * 1_001 + 1 {
+                stepped.step();
+            }
+            assert_eq!(closed.cycles(), stepped.cycles());
+            assert_eq!(closed.stats(), stepped.stats());
+            assert_eq!(closed.eval_acc, stepped.eval_acc);
+            assert_eq!(closed.architectural_state(), stepped.architectural_state());
+            assert!(closed.pool().values_equal(&stepped.pool().checkpoint()));
+            assert_eq!(closed.exit(), None);
+        }
+    }
+
+    #[test]
+    fn a_model_that_is_not_closable_refuses_loop_marks() {
+        let program = assemble("_start: ba _start\n nop\n").expect("assembles");
+        let mut cpu = Leon3::new(Leon3Config::default());
+        cpu.load(&program);
+        assert!(cpu.is_closable());
+        cpu.inject(Fault {
+            net: cpu.nets().pc,
+            bit: 9,
+            kind: rtl_sim::FaultKind::IntermittentStuck {
+                level: true,
+                period: 4,
+                duty: 1,
+                phase: 0,
+            },
+            from_cycle: 0,
+        });
+        assert!(!cpu.is_closable(), "an intermittent fault never settles");
+        let mut timed = Leon3::new(Leon3Config {
+            timer: true,
+            ..Leon3Config::default()
+        });
+        timed.load(&program);
+        assert!(!timed.is_closable(), "the timer counts cycles");
+        let marked = catch_unwind(AssertUnwindSafe(|| timed.loop_mark()));
+        assert!(marked.is_err());
     }
 
     #[test]

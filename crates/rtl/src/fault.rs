@@ -296,6 +296,16 @@ impl ActiveFault {
         }
     }
 
+    /// Whether the fault acts alike at every later clock value: active,
+    /// with no event left to fall due, and not duty-cycled. That is a
+    /// stuck-at or open line once active, a transient after its flip and
+    /// a burst after its last flip.
+    pub(crate) fn is_settled(&self) -> bool {
+        self.active
+            && self.next_event().is_none()
+            && !matches!(self.fault.kind, FaultKind::IntermittentStuck { .. })
+    }
+
     /// Apply the fault to a value read from the net at `cycle`.
     pub(crate) fn apply(&self, value: u32, cycle: u64) -> u32 {
         if !self.active {

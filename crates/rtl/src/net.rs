@@ -626,6 +626,51 @@ impl<T> NetPool<T> {
         self.shadows.reindex_activation();
     }
 
+    /// Whether the pool reads and writes alike at every later clock value:
+    /// every fault is settled (a stuck-at, an activated open line, a
+    /// transient after its flip or a burst after its last flip), every
+    /// bridge is active, and no shadow, read tracker or event trace is
+    /// armed. An intermittent fault never qualifies. Only then may
+    /// [`NetPool::jump_clock`] move the clock.
+    pub fn is_time_invariant(&self) -> bool {
+        self.faults.iter().all(ActiveFault::is_settled)
+            && self.bridges.iter().all(|&(_, active)| active)
+            && self.shadows.is_empty()
+            && self.last_read.is_none()
+            && self.events.is_none()
+    }
+
+    /// Whether every raw net value equals the one captured in
+    /// `checkpoint`. The clock is not compared.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the checkpoint was captured from a pool with a different
+    /// net population.
+    pub fn values_equal(&self, checkpoint: &PoolCheckpoint) -> bool {
+        assert_eq!(
+            checkpoint.values.len(),
+            self.values.len(),
+            "checkpoint net population mismatch"
+        );
+        self.values == checkpoint.values
+    }
+
+    /// Move the clock forward by `cycles` without ticking through them.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the pool [is time-invariant](NetPool::is_time_invariant),
+    /// the one state in which no tick between here and there would change
+    /// anything but the clock.
+    pub fn jump_clock(&mut self, cycles: u64) {
+        assert!(
+            self.is_time_invariant(),
+            "only a time-invariant pool may jump its clock"
+        );
+        self.cycle += cycles;
+    }
+
     /// Capture the raw values and the clock (see [`PoolCheckpoint`] for
     /// what is deliberately excluded).
     pub fn checkpoint(&self) -> PoolCheckpoint {
@@ -931,6 +976,73 @@ mod tests {
         pool.tick(); // activates at cycle 2 with raw = 0
         pool.write(n, 1);
         assert_eq!(pool.read(n), 0, "held low from injection instant");
+    }
+
+    #[test]
+    fn only_settled_faults_let_the_clock_jump() {
+        let fault = |kind, from_cycle| Fault {
+            net: NetId(0),
+            bit: 0,
+            kind,
+            from_cycle,
+        };
+        // (kind, cycles until settled; `None` = never)
+        let cases = [
+            (FaultKind::StuckAt1, Some(4)),
+            (FaultKind::OpenLine, Some(4)),
+            (FaultKind::TransientFlip, Some(4)),
+            (
+                FaultKind::TransientBurst {
+                    flips: 3,
+                    spacing: 2,
+                },
+                Some(8),
+            ),
+            (
+                FaultKind::IntermittentStuck {
+                    level: true,
+                    period: 4,
+                    duty: 4,
+                    phase: 0,
+                },
+                None,
+            ),
+        ];
+        for (kind, settled) in cases {
+            let mut pool: NetPool<()> = NetPool::new();
+            let n = pool.net("n", 4, ());
+            assert!(pool.is_time_invariant(), "a fault-free pool is");
+            pool.inject(fault(kind, 4));
+            for cycle in 0..12 {
+                assert_eq!(
+                    pool.is_time_invariant(),
+                    settled.is_some_and(|at| cycle >= at),
+                    "{kind:?} at cycle {cycle}"
+                );
+                pool.tick();
+            }
+            pool.write(n, 0b0110);
+            let read = pool.read(n);
+            let values = pool.checkpoint();
+            let jumped = catch_unwind(AssertUnwindSafe(|| pool.jump_clock(1_000)));
+            assert_eq!(jumped.is_ok(), settled.is_some(), "{kind:?}");
+            if jumped.is_ok() {
+                assert_eq!(pool.cycle(), 1_012);
+                assert_eq!(pool.read(n), read, "{kind:?}");
+                assert!(pool.values_equal(&values));
+            }
+        }
+        let mut pool: NetPool<()> = NetPool::new();
+        let n = pool.net("n", 4, ());
+        pool.enable_read_tracking();
+        assert!(!pool.is_time_invariant(), "the tracker notes the clock");
+        pool.disable_read_tracking();
+        pool.arm_shadows([(fault(FaultKind::StuckAt0, 0), 0)]);
+        assert!(!pool.is_time_invariant(), "shadows note divergence");
+        pool.clear_faults();
+        let values = pool.checkpoint();
+        pool.write(n, 1);
+        assert!(!pool.values_equal(&values));
     }
 
     #[test]
