@@ -48,7 +48,11 @@
 //! `--resume` picks a killed campaign back up from its journal, and
 //! `--deadline-ms` arms the per-job wall-clock watchdog. Configuration
 //! and journal errors are reported on stderr with a nonzero exit code
-//! instead of a panic backtrace.
+//! instead of a panic backtrace. Its stderr summary counts the cycles the
+//! campaign billed (`cycles_simulated`, each job as if it ran alone) and
+//! the cycles the host stepped for them ([`fault_inject::host_cycles`]),
+//! which the golden-shadow sweep, closed hang loops and re-joined jobs
+//! keep below the bill.
 //!
 //! `benchgate` is the CI bench-regression gate and the repository's one
 //! bench harness (see [`bench::gate`]): it runs every gate case on both
@@ -99,8 +103,8 @@ use correlation::extensions::{
 };
 use fault_inject::wire::{kind_from_token, kind_to_token, target_from_token, target_to_token};
 use fault_inject::{
-    Campaign, CorrelationReport, CorrelationSpec, DatasetSelection, ExecOptions, InjectionInstant,
-    JournalMode, PredictRequest, SafetyConfig, StaticAnalysis, Target,
+    host_cycles, Campaign, CorrelationReport, CorrelationSpec, DatasetSelection, ExecOptions,
+    InjectionInstant, JournalMode, PredictRequest, SafetyConfig, StaticAnalysis, Target,
 };
 use leon3_model::{Leon3, Leon3Config};
 use rtl_sim::FaultKind;
@@ -204,15 +208,24 @@ fn run_campaign(config: &ExperimentConfig, args: &[String]) {
         journal,
         ..ExecOptions::default()
     };
+    let before = host_cycles();
     let outcome = campaign
         .execute(threads, &options)
         .map(|mut results| results.remove(0));
+    let stepped = host_cycles() - before;
     match outcome {
         Ok(result) => {
             let stats = result.stats();
             eprintln!(
-                "[repro] {} jobs ({} resumed, {} retried, {} anomalies, {} timed out)",
-                stats.jobs, stats.resumed, stats.retried, stats.anomalies, stats.timed_out
+                "[repro] {} jobs ({} resumed, {} retried, {} anomalies, {} timed out; \
+                 {} cycles billed, {} stepped)",
+                stats.jobs,
+                stats.resumed,
+                stats.retried,
+                stats.anomalies,
+                stats.timed_out,
+                stats.cycles_simulated,
+                stepped
             );
             print!("{result}");
             if safety_armed {

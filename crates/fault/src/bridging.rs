@@ -147,7 +147,7 @@ fn run_one(cpu: &mut Leon3, program: &Program, golden: &GoldenRun, bridge: Bridg
     cpu.reset();
     cpu.load(program);
     cpu.inject_bridge(bridge);
-    observe(cpu, golden, 0, 0, 0, None, false).outcome
+    observe(cpu, golden, 0, 0, 0, None, None).outcome
 }
 
 /// `Pf` over a set of bridging records, optionally filtered by kind.

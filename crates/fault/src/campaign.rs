@@ -16,9 +16,11 @@
 //! changes a read. A transient or burst fault changes a stored value when
 //! it activates, so its job runs on its own from its pool ancestor. Jobs
 //! still on the sweep when the golden run halts are `NoEffect` without a
-//! run of their own, and a job's own run that proves its faulty machine
-//! loops exactly skips to its hang budget (see [`observe`]). Two further
-//! cost levers ride on the same machinery:
+//! run of their own, a job's own run that proves its faulty machine
+//! loops exactly skips to its hang budget (see [`observe`]), and one that
+//! is back in the golden state at the end of its window, apart from the
+//! clock, rides the sweep again with its cycle offset (see [`sweep`]).
+//! Two further cost levers ride on the same machinery:
 //!
 //! * **site-activation tracking** — the golden run records, per net, the
 //!   cycle of its last read. A permanent fault is observable only through a
@@ -71,9 +73,10 @@ use crate::static_analysis::{PrunedBy, StaticAnalysis};
 use crate::wire::kind_to_token;
 use analysis::SplitMix64;
 use leon3_model::{Leon3, Leon3Config, LoopMark, Snapshot};
-use rtl_sim::{Fault, FaultKind, NetId};
+use rtl_sim::{Fault, FaultKind, FaultState, NetId};
 use sparc_asm::Program;
 use sparc_iss::{BusEvent, Exit, StepEvent};
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -97,8 +100,9 @@ static HOST_CYCLES: AtomicU64 = AtomicU64::new(0);
 /// prefix, each golden-shadow sweep window's first pass and re-step, each
 /// job's own run from its window start or pool ancestor, and each full
 /// re-execution run. Golden capture is not counted, and neither are the
-/// cycles a closed hang loop skips. Read it before and after a campaign
-/// for that campaign's count while nothing else runs.
+/// cycles a closed hang loop skips or a re-joined job rides on the sweep.
+/// Read it before and after a campaign for that campaign's count while
+/// nothing else runs.
 ///
 /// [`CampaignStats::cycles_simulated`] bills each job as if it ran alone
 /// from its pool ancestor, so it does not move when the sweep steps less;
@@ -303,8 +307,11 @@ pub enum Execution {
     /// its jobs need and steps the golden run with every job's faults
     /// armed as shadows; a job runs on its own only from the sweep window
     /// in which its fault first changes a read. Transient and burst jobs
-    /// run on their own from their pool ancestor, and an own run whose
-    /// faulty machine loops exactly skips to its hang budget. Jobs whose
+    /// run on their own from their pool ancestor, an own run whose
+    /// faulty machine loops exactly skips to its hang budget, and an own
+    /// run that is back in the golden state at the end of its window,
+    /// apart from the clock, re-joins the sweep carrying its cycle offset
+    /// (not under a watchdog or a deadline). Jobs whose
     /// nets the golden run never reads from the injection instant on are
     /// classified without simulation. Each job is billed as a fork from
     /// its own nearest ancestor checkpoint, and there is no
@@ -1125,8 +1132,10 @@ impl Campaign {
                 Some(pool) => sweep(&mut cpu, &ctx, pool, jobs, &mine, &publish),
                 None => {
                     for idx in mine {
-                        let (outcome, detection, delta) =
-                            isolated(|tally| run_job(&mut cpu, &ctx, tally, &jobs[idx]));
+                        let ((outcome, detection), delta) = isolated(
+                            |tally| run_job(&mut cpu, &ctx, tally, &jobs[idx]),
+                            |anomaly| (anomaly, Detection::Undetected),
+                        );
                         publish(idx, outcome, detection, delta);
                     }
                 }
@@ -1732,14 +1741,15 @@ struct JobContext<'a> {
     safety: SafetyConfig,
 }
 
-/// Classify one job with panic isolation: a panicking attempt is retried
-/// once (every job entry sequence restores or resets the model first, so
-/// the retry never sees torn state); a second panic yields
-/// [`FaultOutcome::EngineAnomaly`] with the panic payload, and the failed
-/// attempts' cost tally is dropped.
-fn isolated(
-    mut attempt_job: impl FnMut(&mut CampaignStats) -> (FaultOutcome, Detection),
-) -> (FaultOutcome, Detection, CampaignStats) {
+/// Run one job's attempt with panic isolation: a panicking attempt is
+/// retried once (every job entry sequence restores or resets the model
+/// first, so the retry never sees torn state); a second panic yields what
+/// `anomaly` makes of [`FaultOutcome::EngineAnomaly`] with the panic
+/// payload, and the failed attempts' cost tally is dropped.
+fn isolated<T>(
+    mut attempt_job: impl FnMut(&mut CampaignStats) -> T,
+    anomaly: impl FnOnce(FaultOutcome) -> T,
+) -> (T, CampaignStats) {
     for attempt in 0..2 {
         // `&mut Leon3` is not `UnwindSafe` by definition, but the model
         // documents its unwind boundary: `restore`/`reset`/`load` rebuild
@@ -1747,13 +1757,13 @@ fn isolated(
         // into the next run (see `leon3_model::Leon3` docs).
         let run = catch_unwind(AssertUnwindSafe(|| {
             let mut delta = CampaignStats::default();
-            let (outcome, detection) = attempt_job(&mut delta);
-            (outcome, detection, delta)
+            let ended = attempt_job(&mut delta);
+            (ended, delta)
         }));
         match run {
-            Ok((outcome, detection, mut delta)) => {
+            Ok((ended, mut delta)) => {
                 delta.retried = usize::from(attempt > 0);
-                return (outcome, detection, delta);
+                return (ended, delta);
             }
             Err(_) if attempt == 0 => continue,
             Err(payload) => {
@@ -1762,16 +1772,13 @@ fn isolated(
                     anomalies: 1,
                     ..CampaignStats::default()
                 };
-                return (
-                    FaultOutcome::EngineAnomaly {
-                        // `&*` derefs the box: `&payload` would coerce
-                        // the `Box` itself to `&dyn Any` and every
-                        // downcast would miss.
-                        payload: panic_message(&*payload),
-                    },
-                    Detection::Undetected,
-                    delta,
-                );
+                let outcome = FaultOutcome::EngineAnomaly {
+                    // `&*` derefs the box: `&payload` would coerce the
+                    // `Box` itself to `&dyn Any` and every downcast would
+                    // miss.
+                    payload: panic_message(&*payload),
+                };
+                return (anomaly(outcome), delta);
             }
         }
     }
@@ -1804,7 +1811,7 @@ fn run_job(
     for fault in job.faults() {
         cpu.inject(fault);
     }
-    let run = observe(cpu, ctx.golden, job.injection_cycle, 0, 0, deadline, false);
+    let run = observe(cpu, ctx.golden, job.injection_cycle, 0, 0, deadline, None);
     count_host_cycles(cpu.cycles());
     tally.cycles_simulated += cpu.cycles();
     tally.short_circuited += usize::from(run.short_circuited);
@@ -1821,6 +1828,19 @@ thread_local! {
     /// Jobs that ran on a model of their own after leaving a sweep on this
     /// thread.
     static OWN_RUNS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// Own runs that re-joined a sweep on this thread.
+    static REJOINS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// Re-joins with a cycle offset other than zero.
+    static OFFSET_REJOINS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// How a fork-engine own run ended.
+enum OwnEnd {
+    /// Classified, as a run alone to its end would have been.
+    Classified(FaultOutcome, Detection),
+    /// Back in the golden state at the end of its window, this many cycles
+    /// late (early if negative), with its faults' states to ride on.
+    Rejoined(i64, Vec<FaultState>),
 }
 
 /// Classify `mine` (indices into `jobs`) on the fork engine with one
@@ -1838,9 +1858,20 @@ thread_local! {
 /// diverges inside a window runs on its own from that window's start
 /// snapshot once the window ends, with its fault state carried over; then
 /// the window is stepped again without it (the same reads, so no other
-/// shadow diverges there). Jobs still on the sweep when the golden run
-/// halts are `NoEffect`, classified from the sweep's final trace. Every
-/// own run closes a proven hang loop (see [`observe`]).
+/// shadow diverges there). Every own run closes a proven hang loop (see
+/// [`observe`]).
+///
+/// An own run is compared once with the golden state at the end of the
+/// window it left in. If it is back there, closable and equal but for the
+/// clock, it stops and **re-joins** the sweep as a shadow that carries its
+/// fault state and its cycle offset Δ (its cycle minus the golden one).
+/// Should it diverge again, it leaves like any job, its clock shifted by
+/// Δ, so every latency comes out in its own timeline. Jobs still on the
+/// sweep when the golden run halts are `NoEffect`, classified from the
+/// sweep's final trace and billed to the golden end plus their Δ.
+/// Re-joining is off under a watchdog, which replays the timestamps of the
+/// faulty write stream, and under a deadline, which would have to carry a
+/// job's own-run time across re-joins.
 ///
 /// Every job is billed as if it had been restored from its own pool
 /// ancestor and stepped to its end cycle, so records and stats are those
@@ -1858,13 +1889,20 @@ fn sweep(
     publish: &impl Fn(usize, FaultOutcome, Detection, CampaignStats),
 ) {
     let golden = ctx.golden;
+    let may_rejoin = ctx.deadline.is_none() && ctx.safety.watchdog_cycles.is_none();
     // A job runs on its own once `enter` has put the model where it
     // starts: at `steps` into the run, its faults injected, with what the
-    // `spent` sweep time left of its deadline.
-    let run_own =
-        |cpu: &mut Leon3, idx: usize, enter: &dyn Fn(&mut Leon3), steps: u64, spent: Duration| {
-            let job = &jobs[idx];
-            let (outcome, detection, delta) = isolated(|tally| {
+    // `spent` sweep time left of its deadline. A classified job is
+    // published; a re-joining one is handed back.
+    let run_own = |cpu: &mut Leon3,
+                   idx: usize,
+                   enter: &dyn Fn(&mut Leon3),
+                   steps: u64,
+                   spent: Duration,
+                   fork: OwnRun<'_>| {
+        let job = &jobs[idx];
+        let (ended, delta) = isolated(
+            |tally| {
                 let deadline = ctx
                     .deadline
                     .map(|d| Instant::now() + d.saturating_sub(spent));
@@ -1880,17 +1918,32 @@ fn sweep(
                     steps,
                     trace_len,
                     deadline,
-                    true,
+                    Some(fork),
                 );
                 count_host_cycles(cpu.cycles() - from - run.skipped_cycles);
+                if let Some(offset) = run.rejoined {
+                    return OwnEnd::Rejoined(offset, cpu.pool().fault_states().collect());
+                }
                 pool.bill(golden, job, cpu.cycles(), tally);
                 tally.short_circuited += usize::from(run.short_circuited);
                 tally.timed_out += usize::from(run.timed_out);
                 let detection = classify_run(cpu, ctx, job, &run);
-                (run.outcome, detection)
-            });
-            publish(idx, outcome, detection, delta);
-        };
+                OwnEnd::Classified(run.outcome, detection)
+            },
+            |anomaly| OwnEnd::Classified(anomaly, Detection::Undetected),
+        );
+        match ended {
+            OwnEnd::Classified(outcome, detection) => {
+                publish(idx, outcome, detection, delta);
+                None
+            }
+            OwnEnd::Rejoined(offset, faults) => Some((offset, faults)),
+        }
+    };
+    let alone = OwnRun {
+        offset: 0,
+        rejoin_at: None,
+    };
     let mut on_sweep = Vec::with_capacity(mine.len());
     for &idx in mine {
         let job = &jobs[idx];
@@ -1920,7 +1973,7 @@ fn sweep(
                 cpu.restore(&from.snapshot);
                 job.faults().for_each(|fault| cpu.inject(fault));
             };
-            run_own(cpu, idx, &enter, from.steps, Duration::ZERO);
+            run_own(cpu, idx, &enter, from.steps, Duration::ZERO, alone);
         } else {
             on_sweep.push(idx);
         }
@@ -1956,7 +2009,7 @@ fn sweep(
                 cpu.rewind(&window);
                 jobs[idx].faults().for_each(|fault| cpu.inject(fault));
             };
-            run_own(cpu, idx, &enter, window_steps, spent);
+            run_own(cpu, idx, &enter, window_steps, spent, alone);
             cpu.rewind(&window);
         }
         accepted
@@ -1968,6 +2021,10 @@ fn sweep(
     );
     let mut saved = cpu.shadows().clone();
     let mut leaving = Vec::new();
+    // Each re-joined job's cycle offset, and the jobs that re-join at the
+    // end of the current window with their faults' states.
+    let mut offsets: HashMap<usize, i64> = HashMap::new();
+    let mut rejoining: Vec<(usize, Vec<FaultState>)> = Vec::new();
     while !on_sweep.is_empty() {
         if let Some(d) = ctx.deadline {
             leaving.clear();
@@ -1988,6 +2045,7 @@ fn sweep(
                     timed_out: true,
                     matched: window.trace_len(),
                     skipped_cycles: 0,
+                    rejoined: None,
                 };
                 let mut delta = CampaignStats {
                     timed_out: 1,
@@ -2020,16 +2078,37 @@ fn sweep(
         if !leaving.is_empty() {
             leaving.sort_unstable();
             leaving.dedup();
+            // The golden state each own run is compared with once, where
+            // the window ends.
+            let end = (may_rejoin && !halted).then(|| cpu.state_mark());
+            let rejoin_at = end.as_ref().map(|end| (window_steps + stepped, end));
             for &idx in &leaving {
                 let spent = spent(&starts, swept, idx);
+                let offset = offsets.get(&idx).copied();
                 let enter = |cpu: &mut Leon3| {
                     cpu.rewind(&window);
                     cpu.inject_shadowed(&saved, idx);
+                    if let Some(offset) = offset {
+                        cpu.shift_clock(offset);
+                    }
                 };
-                run_own(cpu, idx, &enter, window_steps, spent);
+                let fork = OwnRun {
+                    offset: offset.unwrap_or(0),
+                    rejoin_at,
+                };
+                if let Some((offset, faults)) = run_own(cpu, idx, &enter, window_steps, spent, fork)
+                {
+                    #[cfg(test)]
+                    {
+                        REJOINS.with(|n| n.set(n.get() + 1));
+                        OFFSET_REJOINS.with(|n| n.set(n.get() + usize::from(offset != 0)));
+                    }
+                    offsets.insert(idx, offset);
+                    rejoining.push((idx, faults));
+                }
             }
             on_sweep.retain(|idx| leaving.binary_search(idx).is_err());
-            if on_sweep.is_empty() {
+            if on_sweep.is_empty() && rejoining.is_empty() {
                 return;
             }
             // The jobs left are charged for this pass only.
@@ -2049,24 +2128,39 @@ fn sweep(
         if halted {
             break;
         }
+        if !rejoining.is_empty() {
+            cpu.arm_carried(
+                rejoining
+                    .iter()
+                    .flat_map(|(idx, faults)| faults.iter().map(|&state| (state, *idx))),
+            );
+            on_sweep.extend(rejoining.drain(..).map(|(idx, _)| idx));
+        }
         cpu.mark_into(&mut window);
         saved.clone_from(cpu.shadows());
         window_steps += stepped;
         swept += pass.elapsed();
         starts.push((window_steps, swept));
     }
-    // Never diverged: each of these faulty runs is the golden run.
+    // Never diverged, or back in the golden state since: each of these
+    // faulty runs is the golden run, shifted by its offset.
     let run = Observation {
         outcome: FaultOutcome::NoEffect,
         short_circuited: false,
         timed_out: false,
         matched: golden.writes.len(),
         skipped_cycles: 0,
+        rejoined: None,
     };
     for &idx in &on_sweep {
         let job = &jobs[idx];
         let mut delta = CampaignStats::default();
-        pool.bill(golden, job, cpu.cycles(), &mut delta);
+        let offset = offsets.get(&idx).copied().unwrap_or(0);
+        let end = cpu
+            .cycles()
+            .checked_add_signed(offset)
+            .expect("a faulty run ends at a cycle");
+        pool.bill(golden, job, end, &mut delta);
         let detection = classify_run(cpu, ctx, job, &run);
         publish(idx, FaultOutcome::NoEffect, detection, delta);
     }
@@ -2104,6 +2198,23 @@ pub(crate) struct Observation {
     matched: usize,
     /// Cycles a closed loop skipped, which the host never stepped.
     skipped_cycles: u64,
+    /// The run stopped at the end of its window, back in the golden state
+    /// there this many cycles late (early if negative), to re-join the
+    /// sweep. Its outcome is `NoEffect` so far.
+    rejoined: Option<i64>,
+}
+
+/// What a fork-engine own run does beyond [`observe`]'s plain watch: it
+/// closes proven hang loops, and it may stop at the end of its window to
+/// re-join the sweep.
+#[derive(Clone, Copy)]
+pub(crate) struct OwnRun<'a> {
+    /// Cycles the run's clock is ahead of the golden timestamps in the
+    /// bus trace it was rewound to (negative if behind).
+    offset: i64,
+    /// The step count at which the run's window ends and the golden state
+    /// there, when the run may re-join the sweep.
+    rejoin_at: Option<(u64, &'a LoopMark)>,
 }
 
 /// A hunt for an exact repeat of a faulty run's state: Brent's cycle
@@ -2132,12 +2243,15 @@ thread_local! {
 /// for a run from reset. `deadline` is the cooperative wall-clock
 /// watchdog, checked every 256 steps.
 ///
-/// With `close_loops`, a run that has gone longer without an off-core
-/// write than any gap of the golden run hunts for an exact repeat of its
-/// state while the model is closable (see [`Leon3::is_closable`]). Once
-/// one is proven, the run skips every whole pass through the loop that
-/// fits its hang budget, steps the rest, and ends in the `Hang` stepping
-/// all of it would have reached. Each new write restarts the hunt.
+/// A fork-engine own run (`fork`) closes hang loops: once it has gone
+/// longer without an off-core write than any gap of the golden run, it
+/// hunts for an exact repeat of its state while the model is closable (see
+/// [`Leon3::is_closable`]). Once one is proven, the run skips every whole
+/// pass through the loop that fits its hang budget, steps the rest, and
+/// ends in the `Hang` stepping all of it would have reached. Each new
+/// write restarts the hunt. With [`OwnRun::rejoin_at`], the run compares
+/// itself once with the golden state at its window end, and stops there
+/// if it is closable and [repeats](Leon3::repeats) that state.
 pub(crate) fn observe(
     cpu: &mut Leon3,
     golden: &GoldenRun,
@@ -2145,14 +2259,21 @@ pub(crate) fn observe(
     steps_done: u64,
     writes_checked: usize,
     deadline: Option<Instant>,
-    mut close_loops: bool,
+    fork: Option<OwnRun<'_>>,
 ) -> Observation {
     // Budget: generous multiple of the golden run, so hangs terminate.
     let budget = golden.instructions * 2 + 10_000;
     let mut executed: u64 = steps_done;
     let mut checked: usize = writes_checked;
     let mut ticks: u32 = 0;
-    let mut last_write = cpu.bus_trace().events().last().map_or(0, |w| w.at);
+    let mut close_loops = fork.is_some();
+    let (offset, rejoin_at) = fork.map_or((0, None), |f| (f.offset, f.rejoin_at));
+    // In the run's own timeline: a rewound trace holds golden timestamps.
+    let mut last_write = cpu
+        .bus_trace()
+        .events()
+        .last()
+        .map_or(0, |w| w.at.saturating_add_signed(offset));
     let mut hunt: Option<LoopHunt> = None;
     let mut skipped_cycles = 0;
     let stop = |outcome, matched| Observation {
@@ -2161,6 +2282,7 @@ pub(crate) fn observe(
         timed_out: false,
         matched,
         skipped_cycles: 0,
+        rejoined: None,
     };
     loop {
         if let Some(d) = deadline {
@@ -2173,6 +2295,7 @@ pub(crate) fn observe(
                     timed_out: true,
                     matched: checked,
                     skipped_cycles,
+                    rejoined: None,
                 };
             }
         }
@@ -2212,6 +2335,20 @@ pub(crate) fn observe(
         }
         if event == StepEvent::Stopped {
             break;
+        }
+        if let Some((at, end)) = rejoin_at {
+            if executed == at && cpu.is_closable() && cpu.repeats(end) {
+                return Observation {
+                    outcome: FaultOutcome::NoEffect,
+                    short_circuited: false,
+                    timed_out: false,
+                    matched: checked,
+                    skipped_cycles,
+                    // Clocks stay far below 2^63: the wrapped difference
+                    // read as signed is the offset.
+                    rejoined: Some(cpu.cycles().wrapping_sub(end.cycle()) as i64),
+                };
+            }
         }
         if close_loops && executed < budget {
             match &mut hunt {
@@ -2257,6 +2394,7 @@ pub(crate) fn observe(
                 timed_out: false,
                 matched: checked,
                 skipped_cycles,
+                rejoined: None,
             };
         }
     }
@@ -2291,6 +2429,7 @@ pub(crate) fn observe(
         timed_out: false,
         matched: checked,
         skipped_cycles,
+        rejoined: None,
     }
 }
 
@@ -2314,7 +2453,7 @@ fn run_one(
         kind,
         from_cycle: injection_cycle,
     });
-    observe(cpu, golden, injection_cycle, 0, 0, None, false).outcome
+    observe(cpu, golden, injection_cycle, 0, 0, None, None).outcome
 }
 
 #[cfg(test)]
@@ -2964,6 +3103,72 @@ mod tests {
         let (result, hunts, _) = loop_counts(|| campaign.run(1));
         assert!(result.stats().forked > 0);
         assert_eq!(hunts, 0);
+    }
+
+    /// `run`'s result with the re-joins it made on this thread, and how
+    /// many of them carried a cycle offset other than zero.
+    fn rejoin_counts<T>(run: impl FnOnce() -> T) -> (T, usize, usize) {
+        REJOINS.with(|n| n.set(0));
+        OFFSET_REJOINS.with(|n| n.set(0));
+        let out = run();
+        let rejoins = REJOINS.with(std::cell::Cell::get);
+        (out, rejoins, OFFSET_REJOINS.with(std::cell::Cell::get))
+    }
+
+    /// Rspeed's cache memory with the three permanent models, on the
+    /// sample of `tests/rejoin.rs`.
+    fn rspeed_cmem() -> Campaign {
+        Campaign::new(
+            workloads::Benchmark::Rspeed.program(&workloads::Params::default()),
+            Target::CacheMemory,
+        )
+        .with_sample(12, 0x44)
+        .with_kinds(&[
+            FaultKind::StuckAt0,
+            FaultKind::StuckAt1,
+            FaultKind::OpenLine,
+        ])
+        .with_injection_fraction(0.3)
+    }
+
+    #[test]
+    fn late_cache_jobs_rejoin_the_sweep_with_their_offsets() {
+        let campaign = rspeed_cmem();
+        let (fork, rejoins, offset) = rejoin_counts(|| campaign.run(1));
+        assert!(offset > 0, "{rejoins} re-joins, {offset} with an offset");
+        assert!(rejoins >= offset);
+        let full = campaign.with_execution(Execution::FullReexecution).run(1);
+        assert_eq!(fork.records(), full.records());
+    }
+
+    #[test]
+    fn no_job_rejoins_under_a_watchdog_a_deadline_or_an_intermittent_fault() {
+        let program = workloads::Benchmark::Rspeed.program(&workloads::Params::default());
+        let golden = GoldenRun::capture(&program, &Leon3Config::default());
+        // Membench jobs that this fault makes late come back to the golden
+        // state at their window end, but its schedule follows the clock.
+        let intermittent = Campaign::new(
+            workloads::Benchmark::Membench.program(&workloads::Params::default()),
+            Target::CacheMemory,
+        )
+        .with_sample(12, 5)
+        .with_kinds(&[FaultKind::IntermittentStuck {
+            level: true,
+            period: 64,
+            duty: 8,
+            phase: 0,
+        }])
+        .with_injection_fraction(0.3);
+        for campaign in [
+            rspeed_cmem().with_watchdog_cycles(golden.max_write_gap * 2),
+            rspeed_cmem().with_deadline(Duration::from_secs(600)),
+            intermittent,
+        ] {
+            let (fork, rejoins, _) = rejoin_counts(|| campaign.run(1));
+            assert_eq!(rejoins, 0);
+            let full = campaign.with_execution(Execution::FullReexecution).run(1);
+            assert_eq!(fork.records(), full.records());
+        }
     }
 
     #[test]

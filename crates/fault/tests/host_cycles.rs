@@ -62,3 +62,24 @@ fn closed_hang_loops_step_a_fraction_of_what_they_bill() {
         "the fork engine stepped {host} cycles of the {billed} it billed"
     );
 }
+
+#[test]
+fn rejoined_cache_jobs_step_under_three_tenths_of_what_they_bill() {
+    // The `rspeed-cmem` gate case: most masked jobs run late with every
+    // net back at its golden value, and ride the sweep again instead of
+    // stepping to their end alone. Without re-joining the host steps over
+    // a third of the bill.
+    let campaign = Campaign::new(
+        Benchmark::Rspeed.program(&Params::default()),
+        Target::CacheMemory,
+    )
+    .with_sample(12, 0xbe)
+    .with_kinds(&[FaultKind::StuckAt1, FaultKind::OpenLine])
+    .with_injection_fraction(0.3);
+    let (fork, host) = counted(campaign);
+    let billed = fork.stats().cycles_simulated;
+    assert!(
+        host * 10 < billed * 3,
+        "the fork engine stepped {host} cycles of the {billed} it billed"
+    );
+}

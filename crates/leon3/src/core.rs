@@ -2,7 +2,7 @@
 
 use crate::config::Leon3Config;
 use crate::nets::NetMap;
-use rtl_sim::{Fault, NetId, NetPool, PoolCheckpoint, ShadowTable, Waveform};
+use rtl_sim::{Fault, FaultState, NetId, NetPool, PoolCheckpoint, ShadowTable, Waveform};
 use sparc_asm::Program;
 use sparc_isa::{decode, Icc, Psr, Reg, Tbr, TrapType, Unit, Wim, WindowedRegs, NWINDOWS};
 use sparc_iss::{BusTrace, CpuState, Exit, Memory, RunOutcome, RunStats, StepEvent, Timer};
@@ -61,8 +61,10 @@ impl Mark {
     }
 }
 
-/// A state of a closable [`Leon3`] that later states of the same run are
-/// tested against for an exact repeat (see [`Leon3::repeats`]).
+/// A state of a [`Leon3`] that states of a closable model are tested
+/// against for an exact repeat (see [`Leon3::repeats`]): a later state of
+/// the same run ([`Leon3::loop_mark`]), or the golden run's state at the
+/// step count a faulty run has reached ([`Leon3::state_mark`]).
 ///
 /// It holds what a closable model's execution can change and depends on:
 /// every raw net value, the bus trace's length and the parity latch.
@@ -78,6 +80,13 @@ pub struct LoopMark {
     parity_event: Option<u64>,
     stats: RunStats,
     eval_acc: u32,
+}
+
+impl LoopMark {
+    /// The cycle at which the mark was taken.
+    pub fn cycle(&self) -> u64 {
+        self.pool.cycle()
+    }
 }
 
 impl Snapshot {
@@ -395,6 +404,13 @@ impl Leon3 {
     /// Panics unless the model [is closable](Leon3::is_closable).
     pub fn loop_mark(&self) -> LoopMark {
         assert!(self.is_closable(), "loop marks need a closable model");
+        self.state_mark()
+    }
+
+    /// Capture the current state as a [`LoopMark`] from any model, closable
+    /// or not: the golden state that a faulty run is compared against may
+    /// come from a model that carries shadows, which is never closable.
+    pub fn state_mark(&self) -> LoopMark {
         LoopMark {
             pool: self.pool.checkpoint(),
             pc: self.pool.read(self.nets.pc),
@@ -439,14 +455,34 @@ impl Leon3 {
         );
         let cycles = (self.pool.cycle() - mark.pool.cycle())
             .checked_mul(periods)
+            .and_then(|cycles| i64::try_from(cycles).ok())
             .expect("the closed loop's cycles fit");
-        self.pool.jump_clock(cycles);
+        self.pool.shift_clock(cycles);
         self.stats.repeat_since(&mark.stats, periods);
         // The accumulator wraps, so only `periods` modulo 2^32 matters.
         let per_period = self.eval_acc.wrapping_sub(mark.eval_acc);
         self.eval_acc = self
             .eval_acc
             .wrapping_add(per_period.wrapping_mul(periods as u32));
+    }
+
+    /// Move the clock by `delta` cycles, later or earlier, and change
+    /// nothing else. A closable model steps alike at every clock value, so
+    /// this puts a model rewound to a golden state into the timeline of a
+    /// faulty run that reached that state `delta` cycles late (early if
+    /// negative). The statistics and the faithful-clocking accumulator stay
+    /// those of the run the state came from.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the model is closable, or if the clock would leave the
+    /// range of `u64`.
+    pub fn shift_clock(&mut self, delta: i64) {
+        assert!(
+            self.is_closable(),
+            "only a closable model may shift its clock"
+        );
+        self.pool.shift_clock(delta);
     }
 
     /// Record, per net, the cycle of its most recent read (used on golden
@@ -518,6 +554,12 @@ impl Leon3 {
     /// state (see [`NetPool::inject_shadowed`]).
     pub fn inject_shadowed(&mut self, table: &ShadowTable, owner: usize) {
         self.pool.inject_shadowed(table, owner);
+    }
+
+    /// Arm, beside the shadows already armed, faults carried with their
+    /// state from another model (see [`NetPool::arm_carried`]).
+    pub fn arm_carried(&mut self, faults: impl IntoIterator<Item = (FaultState, usize)>) {
+        self.pool.arm_carried(faults);
     }
 
     /// Run until halt, error mode or the instruction budget is exhausted.
@@ -1001,6 +1043,47 @@ mod tests {
             assert!(closed.pool().values_equal(&stepped.pool().checkpoint()));
             assert_eq!(closed.exit(), None);
         }
+    }
+
+    #[test]
+    fn a_shifted_clock_changes_nothing_else() {
+        let program = assemble(STORE_LOOP).expect("assembles");
+        let mut cpu = Leon3::new(Leon3Config::default());
+        cpu.load(&program);
+        // Settled, and never read changed: `annul` is only ever 0 here.
+        cpu.inject(Fault {
+            net: cpu.nets().annul,
+            bit: 0,
+            kind: rtl_sim::FaultKind::StuckAt0,
+            from_cycle: 0,
+        });
+        for _ in 0..10 {
+            cpu.step();
+        }
+        for delta in [-7i64, 0, 41] {
+            let mut shifted = cpu.clone();
+            shifted.shift_clock(delta);
+            let mut plain = cpu.clone();
+            assert!(matches!(plain.run(100_000), RunOutcome::Halted { .. }));
+            assert!(matches!(shifted.run(100_000), RunOutcome::Halted { .. }));
+            assert_eq!(
+                shifted.cycles() as i64 - plain.cycles() as i64,
+                delta,
+                "every later step takes the cycles it took"
+            );
+            let (moved, still) = (shifted.bus_trace().events(), plain.bus_trace().events());
+            assert_eq!(moved.len(), still.len());
+            assert!(moved.iter().zip(still).all(|(a, b)| a.same_payload(b)));
+            assert_eq!(shifted.architectural_state(), plain.architectural_state());
+            assert_eq!(shifted.stats(), plain.stats());
+        }
+        let mut timed = Leon3::new(Leon3Config {
+            timer: true,
+            ..Leon3Config::default()
+        });
+        timed.load(&program);
+        let shifted = catch_unwind(AssertUnwindSafe(|| timed.shift_clock(1)));
+        assert!(shifted.is_err(), "the timer counts cycles");
     }
 
     #[test]

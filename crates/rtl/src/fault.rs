@@ -272,6 +272,13 @@ pub(crate) struct ActiveFault {
     pub flips_done: u32,
 }
 
+/// An injected fault with its state (whether it has activated, the bit an
+/// open line captured then, the flips a burst has landed), carried from
+/// one pool to shadows of another: see `NetPool::fault_states` and
+/// `NetPool::arm_carried`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FaultState(pub(crate) ActiveFault);
+
 impl ActiveFault {
     pub(crate) fn new(fault: Fault) -> ActiveFault {
         ActiveFault {

@@ -40,7 +40,7 @@ mod graph;
 mod net;
 mod wave;
 
-pub use fault::{Bridge, BridgeKind, Fault, FaultKind};
+pub use fault::{Bridge, BridgeKind, Fault, FaultKind, FaultState};
 pub use graph::{observed_edges, NetEvent, NetGraph};
 pub use net::{NetId, NetMeta, NetPool, PoolCheckpoint, ShadowTable};
 pub use wave::Waveform;

@@ -1,6 +1,6 @@
 //! The net pool: named multi-bit signals with a fault overlay.
 
-use crate::fault::{ActiveFault, Bridge, Fault, FaultKind};
+use crate::fault::{ActiveFault, Bridge, Fault, FaultKind, FaultState};
 use crate::graph::NetEvent;
 use std::cell::{Cell, RefCell};
 use std::fmt;
@@ -524,11 +524,37 @@ impl<T> NetPool<T> {
     /// Panics if a fault or bridge is injected, or on the
     /// [`NetPool::inject`] conditions for any fault.
     pub fn arm_shadows(&mut self, faults: impl IntoIterator<Item = (Fault, usize)>) {
+        self.arm(
+            faults
+                .into_iter()
+                .map(|(fault, owner)| (ActiveFault::new(fault), owner)),
+        );
+    }
+
+    /// Arm, as shadows beside those already armed, faults carried with
+    /// their state from a pool with the same nets (see
+    /// [`NetPool::fault_states`]): the inverse of
+    /// [`NetPool::inject_shadowed`]. An active open line keeps the bit it
+    /// captured at activation, which the raw value here may no longer
+    /// hold; [`NetPool::arm_shadows`] would capture that raw bit afresh.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the [`NetPool::arm_shadows`] conditions.
+    pub fn arm_carried(&mut self, faults: impl IntoIterator<Item = (FaultState, usize)>) {
+        self.arm(
+            faults
+                .into_iter()
+                .map(|(FaultState(state), owner)| (state, owner)),
+        );
+    }
+
+    fn arm(&mut self, shadows: impl Iterator<Item = (ActiveFault, usize)>) {
         assert!(self.is_fault_free(), "faults and shadows do not mix");
-        for (fault, owner) in faults {
-            self.check_fault(&fault);
+        for (state, owner) in shadows {
+            self.check_fault(&state.fault);
             self.shadows.entries.push(Shadow {
-                state: ActiveFault::new(fault),
+                state,
                 owner,
                 diverged: Cell::new(false),
             });
@@ -626,12 +652,18 @@ impl<T> NetPool<T> {
         self.shadows.reindex_activation();
     }
 
-    /// Whether the pool reads and writes alike at every later clock value:
+    /// The injected faults with their state, in injection order, for
+    /// [`NetPool::arm_carried`] on another pool.
+    pub fn fault_states(&self) -> impl Iterator<Item = FaultState> + '_ {
+        self.faults.iter().copied().map(FaultState)
+    }
+
+    /// Whether the pool reads and writes alike at every other clock value:
     /// every fault is settled (a stuck-at, an activated open line, a
     /// transient after its flip or a burst after its last flip), every
     /// bridge is active, and no shadow, read tracker or event trace is
     /// armed. An intermittent fault never qualifies. Only then may
-    /// [`NetPool::jump_clock`] move the clock.
+    /// [`NetPool::shift_clock`] move the clock.
     pub fn is_time_invariant(&self) -> bool {
         self.faults.iter().all(ActiveFault::is_settled)
             && self.bridges.iter().all(|&(_, active)| active)
@@ -656,19 +688,23 @@ impl<T> NetPool<T> {
         self.values == checkpoint.values
     }
 
-    /// Move the clock forward by `cycles` without ticking through them.
+    /// Move the clock by `delta` cycles, later or earlier, without ticking
+    /// through them.
     ///
     /// # Panics
     ///
     /// Panics unless the pool [is time-invariant](NetPool::is_time_invariant),
-    /// the one state in which no tick between here and there would change
-    /// anything but the clock.
-    pub fn jump_clock(&mut self, cycles: u64) {
+    /// the one state in which the clock changes nothing else, or if the
+    /// clock would leave the range of `u64`.
+    pub fn shift_clock(&mut self, delta: i64) {
         assert!(
             self.is_time_invariant(),
-            "only a time-invariant pool may jump its clock"
+            "only a time-invariant pool may shift its clock"
         );
-        self.cycle += cycles;
+        self.cycle = self
+            .cycle
+            .checked_add_signed(delta)
+            .expect("the shifted clock fits");
     }
 
     /// Capture the raw values and the clock (see [`PoolCheckpoint`] for
@@ -1024,12 +1060,15 @@ mod tests {
             pool.write(n, 0b0110);
             let read = pool.read(n);
             let values = pool.checkpoint();
-            let jumped = catch_unwind(AssertUnwindSafe(|| pool.jump_clock(1_000)));
+            let jumped = catch_unwind(AssertUnwindSafe(|| pool.shift_clock(1_000)));
             assert_eq!(jumped.is_ok(), settled.is_some(), "{kind:?}");
             if jumped.is_ok() {
                 assert_eq!(pool.cycle(), 1_012);
                 assert_eq!(pool.read(n), read, "{kind:?}");
                 assert!(pool.values_equal(&values));
+                pool.shift_clock(-1_005);
+                assert_eq!(pool.cycle(), 7, "{kind:?}: back before it settled");
+                assert_eq!(pool.read(n), read, "{kind:?}");
             }
         }
         let mut pool: NetPool<()> = NetPool::new();
@@ -1877,6 +1916,50 @@ mod tests {
         resumed.set_shadows(&table);
         resumed.read(n);
         assert_eq!(diverged(&resumed), vec![0]);
+    }
+
+    #[test]
+    fn carried_faults_ride_as_shadows_with_their_state() {
+        // An open line captures 1 at cycle 2 in a faulty pool whose raw
+        // bit then drops; carried to a fault-free pool that reads 0, it
+        // must keep holding 1, where one armed afresh would capture 0.
+        let mut faulty: NetPool<()> = NetPool::new();
+        let n = faulty.net("n", 2, ());
+        faulty.write(n, 0b01);
+        let line = Fault {
+            net: n,
+            bit: 0,
+            kind: FaultKind::OpenLine,
+            from_cycle: 2,
+        };
+        let stuck = Fault {
+            net: n,
+            bit: 1,
+            kind: FaultKind::StuckAt0,
+            from_cycle: 2,
+        };
+        faulty.inject(line);
+        faulty.inject(stuck);
+        faulty.tick_many(3);
+        faulty.write(n, 0);
+        let carried: Vec<FaultState> = faulty.fault_states().collect();
+        assert_eq!(carried.len(), 2);
+
+        let mut golden: NetPool<()> = NetPool::new();
+        let n = golden.net("n", 2, ());
+        golden.tick_many(3);
+        let mut fresh = golden.clone();
+        golden.arm_carried(carried.iter().map(|&state| (state, 4)));
+        fresh.arm_shadows([(line, 4), (stuck, 4)]);
+        golden.read(n);
+        fresh.read(n);
+        assert_eq!(diverged(&golden), vec![4], "the held 1 differs from 0");
+        assert_eq!(diverged(&fresh), Vec::<usize>::new());
+        // Injected back from the table, the held bit survives the trip.
+        let table = golden.shadows().clone();
+        golden.clear_faults();
+        golden.inject_shadowed(&table, 4);
+        assert_eq!(golden.read(n), 0b01);
     }
 
     #[test]
