@@ -9,7 +9,7 @@
 //!                [--lockstep-window N] [--parity] [--watchdog-cycles N]
 //!                [--threads N]
 //! repro serve  [--addr HOST:PORT] [--workers N] [--queue-depth N]
-//!              [--job-threads N] [--drain PATH]
+//!              [--job-threads N] [--drain PATH] [--help]
 //! repro submit [iu|cmem|whole] [--addr HOST:PORT] [--benchmark NAME]
 //!              [--sample N --seed N] [--injection-fraction F] [--shard I/N]
 //!              [--deadline-ms N] [--lockstep-window N] [--parity]
@@ -62,12 +62,16 @@
 //! [`bench::gate::TOLERANCE`] or any R² below [`bench::gate::R2_FLOOR`].
 //! `--write` rewrites the baseline from the measurements instead.
 //!
-//! `fleet` drives the fault-tolerant distributed service: `coordinate`
-//! starts a coordinator (lease table + shard store), `run` starts a
-//! runner working for one (`--chaos SEED` arms its deterministic fault
-//! injector), `submit` cuts a campaign into shards and hands it to the
-//! fleet, and `status` polls or `--watch`-streams a fleet campaign.
-//! `repro fleet --help` prints the verb reference and exits 0.
+//! `serve` runs verifd's one server in this process; `fleet` drives its
+//! fault-tolerant distributed half: `coordinate` starts the server with
+//! a fleet (lease table + shard store) and no local workers, `run`
+//! starts a runner working for one (`--chaos SEED` arms its
+//! deterministic fault injector), `submit` cuts a campaign into shards
+//! and hands it to the fleet, and `status` polls or `--watch`-streams a
+//! fleet campaign. `serve`, `coordinate` and `run` parse their flags
+//! with `verifd::cli`, exactly as the `verifd` binary does; a bad flag
+//! exits 2. `repro fleet --help` prints the verb reference and `repro
+//! serve --help` the serve flags, and both exit 0.
 //!
 //! `correlate` runs the paper's Fig. 7 experiment as one command: the
 //! benchmarks × datasets × domains sweep, fitted to `Pf = a·ln(D) + b`
@@ -111,19 +115,9 @@ use rtl_sim::FaultKind;
 use sparc_iss::{Iss, IssConfig, RunOutcome};
 use std::path::PathBuf;
 use std::time::Duration;
-use verifd::{
-    client, CampaignSpec, Coordinator, CoordinatorConfig, Runner, RunnerConfig, Server,
-    ServerConfig,
-};
+use verifd::cli::{self, DEFAULT_ADDR, DEFAULT_FLEET_ADDR};
+use verifd::{client, CampaignSpec, Runner, Server};
 use workloads::{Benchmark, Params};
-
-/// Default address the service verbs talk to (the `verifd` binary's
-/// own default bind).
-const DEFAULT_ADDR: &str = "127.0.0.1:4612";
-
-/// Default address the fleet verbs talk to (the `verifd coordinator`
-/// default bind — one port above the plain service).
-const DEFAULT_FLEET_ADDR: &str = "127.0.0.1:4613";
 
 /// Run the standalone crash-safe campaign subcommand. Never panics on
 /// user mistakes: bad flags exit 2, campaign/journal errors exit 1.
@@ -336,38 +330,7 @@ fn run_inject(config: &ExperimentConfig, args: &[String]) {
 fn run_serve(args: &[String]) {
     let usage = "usage: repro serve [--addr HOST:PORT] [--workers N] [--queue-depth N] \
                  [--job-threads N] [--drain PATH]";
-    let mut config = ServerConfig {
-        addr: DEFAULT_ADDR.to_string(),
-        ..ServerConfig::default()
-    };
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        let mut value = |flag: &str| {
-            iter.next().cloned().unwrap_or_else(|| {
-                eprintln!("`{flag}` needs a value\n{usage}");
-                std::process::exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--addr" => config.addr = value("--addr"),
-            "--workers" => config.workers = parse_usize("--workers", value("--workers"), usage),
-            "--queue-depth" => {
-                config.queue_depth = parse_usize("--queue-depth", value("--queue-depth"), usage);
-            }
-            "--job-threads" => {
-                config.job_threads = parse_usize("--job-threads", value("--job-threads"), usage);
-            }
-            "--drain" => config.drain_path = Some(PathBuf::from(value("--drain"))),
-            other => {
-                eprintln!("unknown serve argument `{other}`\n{usage}");
-                std::process::exit(2);
-            }
-        }
-    }
-    if config.queue_depth == 0 || config.job_threads == 0 {
-        eprintln!("`--queue-depth` and `--job-threads` must be at least 1\n{usage}");
-        std::process::exit(2);
-    }
+    let config = parsed_or_exit(cli::server_args(args), usage);
     match Server::start(config) {
         Ok(server) => {
             eprintln!("[repro] verifd listening on {}", server.addr());
@@ -376,6 +339,22 @@ fn run_serve(args: &[String]) {
         Err(e) => {
             eprintln!("[repro] cannot start service: {e}");
             std::process::exit(1);
+        }
+    }
+}
+
+/// Unwrap the flags of a verifd role: `--help` prints `usage` and exits
+/// 0, a bad flag exits 2.
+fn parsed_or_exit<T>(parsed: Result<Option<T>, String>, usage: &str) -> T {
+    match parsed {
+        Ok(Some(config)) => config,
+        Ok(None) => {
+            println!("{usage}");
+            std::process::exit(0);
+        }
+        Err(e) => {
+            eprintln!("{e}\n{usage}");
+            std::process::exit(2);
         }
     }
 }
@@ -600,65 +579,11 @@ fn run_fleet(config: &ExperimentConfig, args: &[String]) {
 /// `repro fleet coordinate`: run a coordinator in this process until a
 /// `POST /shutdown` stops it.
 fn fleet_coordinate(args: &[String]) {
-    let mut config = CoordinatorConfig {
-        addr: DEFAULT_FLEET_ADDR.to_string(),
-        ..CoordinatorConfig::default()
-    };
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        let mut value = |flag: &str| {
-            iter.next().cloned().unwrap_or_else(|| {
-                eprintln!("`{flag}` needs a value\n{FLEET_USAGE}");
-                std::process::exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--addr" => config.addr = value("--addr"),
-            "--queue-depth" => {
-                config.queue_depth =
-                    parse_usize("--queue-depth", value("--queue-depth"), FLEET_USAGE);
-            }
-            "--lease-ttl-ms" => {
-                config.lease_ttl_ms =
-                    parse_usize("--lease-ttl-ms", value("--lease-ttl-ms"), FLEET_USAGE) as u64;
-            }
-            "--heartbeat-ms" => {
-                config.heartbeat_ms =
-                    parse_usize("--heartbeat-ms", value("--heartbeat-ms"), FLEET_USAGE) as u64;
-            }
-            "--max-attempts" => {
-                config.max_attempts =
-                    parse_usize("--max-attempts", value("--max-attempts"), FLEET_USAGE) as u64;
-            }
-            "--backoff-ms" => {
-                config.backoff_base_ms =
-                    parse_usize("--backoff-ms", value("--backoff-ms"), FLEET_USAGE) as u64;
-            }
-            "--backoff-cap-ms" => {
-                config.backoff_cap_ms =
-                    parse_usize("--backoff-cap-ms", value("--backoff-cap-ms"), FLEET_USAGE) as u64;
-            }
-            "--store" => config.store_path = PathBuf::from(value("--store")),
-            "--drain" => config.drain_path = Some(PathBuf::from(value("--drain"))),
-            other => {
-                eprintln!("unknown coordinate flag `{other}`\n{FLEET_USAGE}");
-                std::process::exit(2);
-            }
-        }
-    }
-    if config.queue_depth == 0 || config.max_attempts == 0 || config.lease_ttl_ms == 0 {
-        eprintln!(
-            "`--queue-depth`, `--max-attempts` and `--lease-ttl-ms` must be at least 1\n{FLEET_USAGE}"
-        );
-        std::process::exit(2);
-    }
-    match Coordinator::start(config) {
-        Ok(coordinator) => {
-            eprintln!(
-                "[repro] fleet coordinator listening on {}",
-                coordinator.addr()
-            );
-            coordinator.join();
+    let (config, fleet) = parsed_or_exit(cli::coordinator_args(args), FLEET_USAGE);
+    match Server::start_fleet(config, fleet) {
+        Ok(server) => {
+            eprintln!("[repro] fleet coordinator listening on {}", server.addr());
+            server.join();
         }
         Err(e) => {
             eprintln!("[repro] cannot start coordinator: {e}");
@@ -669,39 +594,7 @@ fn fleet_coordinate(args: &[String]) {
 
 /// `repro fleet run`: work for a coordinator until the fleet drains.
 fn fleet_run(args: &[String]) {
-    let mut config = RunnerConfig {
-        coordinator: DEFAULT_FLEET_ADDR.to_string(),
-        ..RunnerConfig::default()
-    };
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        let mut value = |flag: &str| {
-            iter.next().cloned().unwrap_or_else(|| {
-                eprintln!("`{flag}` needs a value\n{FLEET_USAGE}");
-                std::process::exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--addr" => config.coordinator = value("--addr"),
-            "--name" => config.name = value("--name"),
-            "--job-threads" => {
-                config.job_threads =
-                    parse_usize("--job-threads", value("--job-threads"), FLEET_USAGE);
-            }
-            "--workdir" => config.workdir = PathBuf::from(value("--workdir")),
-            "--chaos" => {
-                config.chaos = Some(parse_usize("--chaos", value("--chaos"), FLEET_USAGE) as u64);
-            }
-            other => {
-                eprintln!("unknown run flag `{other}`\n{FLEET_USAGE}");
-                std::process::exit(2);
-            }
-        }
-    }
-    if config.job_threads == 0 {
-        eprintln!("`--job-threads` must be at least 1\n{FLEET_USAGE}");
-        std::process::exit(2);
-    }
+    let config = parsed_or_exit(cli::runner_args(args), FLEET_USAGE);
     let coordinator = config.coordinator.clone();
     match Runner::start(config) {
         Ok(runner) => {

@@ -2,7 +2,7 @@
 //! `submit`, `merge` and `fleet` verbs, by the fleet runner's protocol
 //! side, and by the smoke tests.
 
-use crate::coordinator::FleetStatus;
+use crate::fleet::FleetStatus;
 use crate::http::{
     read_response, read_response_full, read_response_streaming, write_request, Response,
 };

@@ -2,7 +2,7 @@
 //!
 //! One request per connection (`Connection: close`), bodies sized by
 //! `Content-Length`, no keep-alive. The one extension beyond that is
-//! server-to-client `Transfer-Encoding: chunked`, which the coordinator
+//! server-to-client `Transfer-Encoding: chunked`, which a fleet's `?watch`
 //! uses to stream campaign progress lines as shards land. That subset is
 //! all the campaign service needs, and it keeps the crate std-only.
 
@@ -19,7 +19,7 @@ pub const MAX_BODY: usize = 1 << 26;
 pub const MAX_HEAD: usize = 8 << 10;
 
 /// How long a server waits on any one read or write of a connection. The
-/// accept loops serve one connection at a time, so this bounds how long a
+/// accept loop serves one connection at a time, so this bounds how long a
 /// client that connects and then sends (or reads) nothing holds up every
 /// other route.
 pub const IO_TIMEOUT: Duration = Duration::from_secs(2);

@@ -1,4 +1,4 @@
-//! The coordinator's shard lease table: the state machine that makes a
+//! The fleet's shard lease table: the state machine that makes a
 //! fleet survive dying runners.
 //!
 //! Every shard of every fleet campaign is one slot walking
@@ -19,7 +19,7 @@
 //! its grant so completed jobs are never re-simulated.
 //!
 //! The table is pure state + an injected clock (milliseconds since an
-//! arbitrary epoch): no threads, no I/O, no `Instant`. The coordinator
+//! arbitrary epoch): no threads, no I/O, no `Instant`. The server
 //! drives it under its mutex; the unit tests drive it with a fake clock.
 
 /// Retry/backoff policy for one table.
@@ -211,9 +211,17 @@ impl LeaseTable {
         }
     }
 
+    /// The shard a live lease covers; `None` for a stale lease.
+    pub fn leased(&self, lease_id: u64) -> Option<ShardKey> {
+        self.slots
+            .iter()
+            .find(|slot| matches!(slot.phase, Phase::Leased { lease, .. } if lease == lease_id))
+            .map(|slot| slot.key)
+    }
+
     /// Complete a lease. Returns the shard key when the lease was still
-    /// live (the caller stores the result); `None` for a stale lease —
-    /// the shard was re-queued or finished by someone else, and the
+    /// live (the caller has stored the result); `None` for a stale lease
+    /// — the shard was re-queued or finished by someone else, and the
     /// late result must be discarded.
     pub fn complete(&mut self, lease_id: u64) -> Option<ShardKey> {
         let slot = self.slot_by_lease(lease_id)?;

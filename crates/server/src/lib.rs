@@ -3,15 +3,18 @@
 //! Every capability of the workspace so far runs as a one-shot CLI
 //! process: each invocation re-derives the golden run and re-simulates
 //! campaigns other callers already paid for. `verifd` turns the campaign
-//! engine into a resident service:
+//! engine into a resident service with one server core ([`service`]):
 //!
 //! * a **request layer** ([`http`]) — hand-rolled HTTP/1.1 over
 //!   `std::net::TcpListener`, speaking the journal's hand-rolled JSON
-//!   dialect ([`fault_inject::wire`]); no registry dependencies;
-//! * a **scheduler** ([`service`]) — a bounded FIFO queue feeding a fixed
-//!   worker pool, each worker running `Campaign::execute` with the
-//!   engine's own panic isolation, plus graceful shutdown that finishes
-//!   in-flight jobs and journals the queued rest to a drain file;
+//!   dialect ([`fault_inject::wire`]); no registry dependencies. One
+//!   accept loop serves every route, adds `Retry-After` to every `503`,
+//!   and bounds what a stalled or hostile client can hold;
+//! * a **scheduler** — a bounded FIFO queue feeding a fixed worker pool,
+//!   each worker running `Campaign::execute` with the engine's own panic
+//!   isolation, plus graceful shutdown that journals the queued work to
+//!   a drain file first, finishes in-flight jobs, and re-enqueues the
+//!   file on the next startup;
 //! * a **result cache** — keyed by [`fault_inject::Campaign::fingerprint`]
 //!   (plus shard coordinates and the deadline, which the fingerprint
 //!   deliberately excludes), so a repeated spec returns the bit-identical
@@ -21,18 +24,16 @@
 //!   the `/merge` endpoint recombines shard results bit-for-bit via
 //!   [`fault_inject::merge_shards`].
 //!
-//! On top of the single-process service sits the **fleet** — horizontal
-//! scale with the same bit-identical guarantees:
+//! A server started with [`Server::start_fleet`] also runs the **fleet**
+//! — horizontal scale with the same bit-identical guarantees, sharing
+//! the server's id space, queue bound, `/stats` and drain file:
 //!
-//! * a **coordinator** ([`coordinator`]) — accepts fleet submissions
-//!   (`POST /fleet` cuts one spec into `n` shards), leases shards to
-//!   registered runners under wall-clock TTLs, re-queues expired or
-//!   failed leases with capped exponential backoff, poisons a shard
-//!   after `max_attempts` leases (the campaign then completes
-//!   **degraded**, naming its missing shards), answers `503` +
-//!   `Retry-After` when the queue is full, streams chunked progress on
-//!   `GET /campaign/{id}?watch`, and drains incomplete campaigns to a
-//!   file on shutdown that the next startup re-enqueues;
+//! * the **fleet routes** ([`fleet`]) — `POST /fleet` cuts one spec into
+//!   `n` shards, leased to registered runners under wall-clock TTLs;
+//!   expired or failed leases re-queue with capped exponential backoff, a
+//!   shard is poisoned after `max_attempts` leases (the campaign then
+//!   completes **degraded**, naming its missing shards), and
+//!   `GET /campaign/{id}?watch` streams chunked progress;
 //! * a pure **lease table** ([`lease`]) — the queued → leased →
 //!   retrying → done | poisoned state machine, driven by an injected
 //!   clock so every transition is unit-testable without I/O;
@@ -43,17 +44,18 @@
 //!   deterministic lease-fault injector (crash/stall/vanish) for tests;
 //! * a persistent **shard store** ([`store`]) — one file per
 //!   `fingerprint + shard geometry + deadline`, deduplicating completed
-//!   shards fleet-wide and surviving coordinator restarts.
+//!   shards fleet-wide and surviving restarts.
 //!
-//! The `repro` CLI gains `serve`, `submit`, `merge` and `fleet` verbs
-//! built on [`client`]; the `verifd` binary grows `coordinator` and
-//! `runner` modes.
+//! The `repro` CLI's `serve`, `submit`, `merge` and `fleet` verbs are
+//! built on [`client`] and parse the roles' flags with [`cli`], as the
+//! `verifd` binary's plain, `coordinator` and `runner` modes do.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod client;
-pub mod coordinator;
+pub mod fleet;
 pub mod http;
 pub mod lease;
 pub mod runner;
@@ -62,7 +64,7 @@ pub mod spec;
 pub mod store;
 
 pub use client::{ClientError, StatusReply, SubmitReply};
-pub use coordinator::{Coordinator, CoordinatorConfig, FleetStatus};
+pub use fleet::{FleetConfig, FleetStatus};
 pub use lease::{LeaseCounters, LeasePolicy, LeaseSnapshot, LeaseTable, ShardKey};
 pub use runner::{Runner, RunnerConfig};
 pub use service::{Server, ServerConfig};

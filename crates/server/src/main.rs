@@ -1,17 +1,16 @@
-//! The `verifd` binary: the campaign service and the fleet roles.
+//! The `verifd` binary: the campaign server in one of three roles.
 //!
-//! - `verifd [flags]` — the single-process service; blocks until a
+//! - `verifd [flags]` — the plain server; blocks until a
 //!   `POST /shutdown` stops it.
-//! - `verifd coordinator [flags]` — the fleet coordinator (lease table,
-//!   retry/backoff, persistent shard store).
+//! - `verifd coordinator [flags]` — the server with a fleet and no local
+//!   workers (lease table, retry/backoff, persistent shard store).
 //! - `verifd runner [flags]` — a fleet runner; works for a coordinator
 //!   until the fleet drains.
 
 #![forbid(unsafe_code)]
 
-use std::path::PathBuf;
 use std::process::ExitCode;
-use verifd::{Coordinator, CoordinatorConfig, Runner, RunnerConfig, Server, ServerConfig};
+use verifd::{cli, Runner, Server};
 
 const USAGE: &str = "usage: verifd [--addr HOST:PORT] [--workers N] [--queue-depth N] \
                      [--job-threads N] [--drain PATH]
@@ -21,182 +20,55 @@ const USAGE: &str = "usage: verifd [--addr HOST:PORT] [--workers N] [--queue-dep
        verifd runner [--addr HOST:PORT] [--name NAME] [--job-threads N] \
                      [--workdir PATH] [--chaos SEED]";
 
-/// Default bind for the fleet coordinator — one port above the plain
-/// service — and the default coordinator a runner works for.
-const DEFAULT_FLEET_ADDR: &str = "127.0.0.1:4613";
-
-fn parse_args(args: &[String]) -> Result<ServerConfig, String> {
-    let mut config = ServerConfig {
-        addr: "127.0.0.1:4612".to_string(),
-        ..ServerConfig::default()
-    };
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value\n{USAGE}"))
-        };
-        match flag.as_str() {
-            "--addr" => config.addr = value("--addr")?,
-            "--workers" => {
-                config.workers = value("--workers")?
-                    .parse()
-                    .map_err(|_| "--workers needs an integer".to_string())?;
-            }
-            "--queue-depth" => {
-                config.queue_depth = value("--queue-depth")?
-                    .parse()
-                    .map_err(|_| "--queue-depth needs a positive integer".to_string())?;
-            }
-            "--job-threads" => {
-                config.job_threads = value("--job-threads")?
-                    .parse()
-                    .map_err(|_| "--job-threads needs a positive integer".to_string())?;
-            }
-            "--drain" => config.drain_path = Some(PathBuf::from(value("--drain")?)),
-            "--help" | "-h" => return Err(USAGE.to_string()),
-            other => return Err(format!("unknown flag `{other}`\n{USAGE}")),
+/// Run the role `args` name until it stops. `Ok(false)` means `--help`
+/// was asked for and nothing ran.
+fn run(args: &[String]) -> Result<bool, String> {
+    let usage = |e: String| format!("{e}\n{USAGE}");
+    match args.first().map(String::as_str) {
+        Some("coordinator") => {
+            let Some((config, fleet)) = cli::coordinator_args(&args[1..]).map_err(usage)? else {
+                return Ok(false);
+            };
+            let server = Server::start_fleet(config, fleet)
+                .map_err(|e| format!("verifd: cannot start coordinator: {e}"))?;
+            println!("verifd coordinator listening on {}", server.addr());
+            server.join();
+        }
+        Some("runner") => {
+            let Some(config) = cli::runner_args(&args[1..]).map_err(usage)? else {
+                return Ok(false);
+            };
+            let coordinator = config.coordinator.clone();
+            let runner =
+                Runner::start(config).map_err(|e| format!("verifd: cannot start runner: {e}"))?;
+            println!(
+                "verifd runner {} working for {coordinator}",
+                runner.runner_id()
+            );
+            runner.join();
+            println!("verifd runner: fleet drained, exiting");
+        }
+        _ => {
+            let Some(config) = cli::server_args(args).map_err(usage)? else {
+                return Ok(false);
+            };
+            let server = Server::start(config).map_err(|e| format!("verifd: cannot start: {e}"))?;
+            println!("verifd listening on {}", server.addr());
+            server.join();
         }
     }
-    if config.queue_depth == 0 {
-        return Err("--queue-depth must be at least 1".to_string());
-    }
-    if config.job_threads == 0 {
-        return Err("--job-threads must be at least 1".to_string());
-    }
-    Ok(config)
-}
-
-fn parse_coordinator_args(args: &[String]) -> Result<CoordinatorConfig, String> {
-    let mut config = CoordinatorConfig {
-        addr: DEFAULT_FLEET_ADDR.to_string(),
-        ..CoordinatorConfig::default()
-    };
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value\n{USAGE}"))
-        };
-        let parse_ms = |name: &str, raw: String| -> Result<u64, String> {
-            raw.parse()
-                .map_err(|_| format!("{name} needs an integer, got `{raw}`\n{USAGE}"))
-        };
-        match flag.as_str() {
-            "--addr" => config.addr = value("--addr")?,
-            "--queue-depth" => {
-                config.queue_depth = value("--queue-depth")?
-                    .parse()
-                    .map_err(|_| "--queue-depth needs a positive integer".to_string())?;
-            }
-            "--lease-ttl-ms" => {
-                config.lease_ttl_ms = parse_ms("--lease-ttl-ms", value("--lease-ttl-ms")?)?;
-            }
-            "--heartbeat-ms" => {
-                config.heartbeat_ms = parse_ms("--heartbeat-ms", value("--heartbeat-ms")?)?;
-            }
-            "--max-attempts" => {
-                config.max_attempts = parse_ms("--max-attempts", value("--max-attempts")?)?;
-            }
-            "--backoff-ms" => {
-                config.backoff_base_ms = parse_ms("--backoff-ms", value("--backoff-ms")?)?;
-            }
-            "--backoff-cap-ms" => {
-                config.backoff_cap_ms = parse_ms("--backoff-cap-ms", value("--backoff-cap-ms")?)?;
-            }
-            "--store" => config.store_path = PathBuf::from(value("--store")?),
-            "--drain" => config.drain_path = Some(PathBuf::from(value("--drain")?)),
-            "--help" | "-h" => return Err(USAGE.to_string()),
-            other => return Err(format!("unknown coordinator flag `{other}`\n{USAGE}")),
-        }
-    }
-    if config.queue_depth == 0 || config.max_attempts == 0 || config.lease_ttl_ms == 0 {
-        return Err(
-            "--queue-depth, --max-attempts and --lease-ttl-ms must be at least 1".to_string(),
-        );
-    }
-    Ok(config)
-}
-
-fn parse_runner_args(args: &[String]) -> Result<RunnerConfig, String> {
-    let mut config = RunnerConfig {
-        coordinator: DEFAULT_FLEET_ADDR.to_string(),
-        ..RunnerConfig::default()
-    };
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value\n{USAGE}"))
-        };
-        match flag.as_str() {
-            "--addr" => config.coordinator = value("--addr")?,
-            "--name" => config.name = value("--name")?,
-            "--job-threads" => {
-                config.job_threads = value("--job-threads")?
-                    .parse()
-                    .map_err(|_| "--job-threads needs a positive integer".to_string())?;
-            }
-            "--workdir" => config.workdir = PathBuf::from(value("--workdir")?),
-            "--chaos" => {
-                config.chaos = Some(
-                    value("--chaos")?
-                        .parse()
-                        .map_err(|_| "--chaos needs an integer seed".to_string())?,
-                );
-            }
-            "--help" | "-h" => return Err(USAGE.to_string()),
-            other => return Err(format!("unknown runner flag `{other}`\n{USAGE}")),
-        }
-    }
-    if config.job_threads == 0 {
-        return Err("--job-threads must be at least 1".to_string());
-    }
-    Ok(config)
-}
-
-fn run_server(args: &[String]) -> Result<(), String> {
-    let config = parse_args(args)?;
-    let server = Server::start(config).map_err(|e| format!("verifd: cannot start: {e}"))?;
-    println!("verifd listening on {}", server.addr());
-    server.join();
-    Ok(())
-}
-
-fn run_coordinator(args: &[String]) -> Result<(), String> {
-    let config = parse_coordinator_args(args)?;
-    let coordinator =
-        Coordinator::start(config).map_err(|e| format!("verifd: cannot start coordinator: {e}"))?;
-    println!("verifd coordinator listening on {}", coordinator.addr());
-    coordinator.join();
-    Ok(())
-}
-
-fn run_runner(args: &[String]) -> Result<(), String> {
-    let config = parse_runner_args(args)?;
-    let coordinator = config.coordinator.clone();
-    let runner = Runner::start(config).map_err(|e| format!("verifd: cannot start runner: {e}"))?;
-    println!(
-        "verifd runner {} working for {coordinator}",
-        runner.runner_id()
-    );
-    runner.join();
-    println!("verifd runner: fleet drained, exiting");
-    Ok(())
+    Ok(true)
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let outcome = match args.first().map(String::as_str) {
-        Some("coordinator") => run_coordinator(&args[1..]),
-        Some("runner") => run_runner(&args[1..]),
-        _ => run_server(&args),
-    };
-    match outcome {
-        Ok(()) => ExitCode::SUCCESS,
+    match run(&args) {
+        Ok(ran) => {
+            if !ran {
+                println!("{USAGE}");
+            }
+            ExitCode::SUCCESS
+        }
         Err(message) => {
             eprintln!("{message}");
             ExitCode::FAILURE

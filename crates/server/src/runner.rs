@@ -18,13 +18,13 @@
 //! *wrong* results — only retried or, at worst, poisoned shards.
 
 use crate::client::{self, ClientError};
+use crate::service::{isolate, run_shard};
 use crate::spec::CampaignSpec;
 use analysis::SplitMix64;
 use fault_inject::wire::fleet::{Ack, Complete, LeaseGrant, LeaseReply, Registered};
 use fault_inject::wire::ShardResult;
 use fault_inject::{ExecOptions, JournalMode};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -52,7 +52,7 @@ pub struct RunnerConfig {
 impl Default for RunnerConfig {
     fn default() -> RunnerConfig {
         RunnerConfig {
-            coordinator: "127.0.0.1:4613".to_string(),
+            coordinator: crate::cli::DEFAULT_FLEET_ADDR.to_string(),
             name: "runner".to_string(),
             job_threads: 2,
             workdir: PathBuf::from("verifd-runner"),
@@ -329,7 +329,7 @@ fn run_lease(config: &RunnerConfig, registered: Registered, flags: &Flags, grant
         let _ = std::fs::remove_file(&journal_path);
         return;
     }
-    let outcome = execute_shard(config, flags, &grant, &journal_path);
+    let outcome = execute_shard(config, &grant, &journal_path);
     if flags.killed.load(Ordering::SeqCst) {
         // Killed mid-lease: the result (if any) dies with us.
         return cleanup(flags);
@@ -402,67 +402,37 @@ fn report_complete(
 }
 
 /// Run one leased shard journaled, resuming from an uploaded partial
-/// journal when the grant carries one. Panics are caught and stringified
-/// — a panicking workload must fail the lease, not the runner.
+/// journal when the grant carries one. Panics come back as errors — a
+/// panicking workload must fail the lease, not the runner.
 fn execute_shard(
     config: &RunnerConfig,
-    _flags: &Flags,
     grant: &LeaseGrant,
-    journal_path: &std::path::Path,
+    journal_path: &Path,
 ) -> Result<ShardResult, String> {
     let spec = CampaignSpec::from_obj(&grant.spec)?;
-    let threads = config.job_threads;
-    let path = journal_path.to_path_buf();
-    let _ = std::fs::remove_file(&path);
-    let prior = grant.journal.clone();
-    let run = catch_unwind(AssertUnwindSafe(move || {
-        let campaign = spec.to_campaign();
-        let fingerprint = campaign.fingerprint();
-        let (index, count) = spec.shard.unwrap_or((0, 1));
+    let _ = std::fs::remove_file(journal_path);
+    isolate("shard", || {
         let journaled = |journal| {
-            campaign
-                .execute(
-                    threads,
-                    &ExecOptions {
-                        journal,
-                        ..ExecOptions::default()
-                    },
-                )
-                .map(|mut results| results.remove(0))
+            run_shard(
+                &spec,
+                config.job_threads,
+                &ExecOptions {
+                    journal,
+                    ..ExecOptions::default()
+                },
+            )
         };
-        let result = match prior {
-            Some(text) => {
-                std::fs::write(&path, &text).map_err(|e| e.to_string())?;
-                match journaled(JournalMode::Resume(&path)) {
-                    Ok(result) => result,
-                    // An unusable journal (wrong campaign, corrupt past
-                    // recovery) must not poison the shard: start fresh.
-                    Err(_) => {
-                        let _ = std::fs::remove_file(&path);
-                        journaled(JournalMode::Create(&path)).map_err(|e| e.to_string())?
-                    }
-                }
-            }
-            None => journaled(JournalMode::Create(&path)).map_err(|e| e.to_string())?,
+        let Some(prior) = &grant.journal else {
+            return journaled(JournalMode::Create(journal_path));
         };
-        Ok(ShardResult {
-            fingerprint,
-            index,
-            count,
-            result,
+        std::fs::write(journal_path, prior).map_err(|e| e.to_string())?;
+        // An unusable journal (wrong campaign, corrupt past recovery)
+        // must not poison the shard: start fresh.
+        journaled(JournalMode::Resume(journal_path)).or_else(|_| {
+            let _ = std::fs::remove_file(journal_path);
+            journaled(JournalMode::Create(journal_path))
         })
-    }));
-    match run {
-        Ok(result) => result,
-        Err(payload) => {
-            let message = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_string());
-            Err(format!("shard panicked: {message}"))
-        }
-    }
+    })
 }
 
 /// Cut a journal the way a kill does: keep the header line, drop a tail,

@@ -1,12 +1,21 @@
-//! The resident campaign service: bounded queue, fixed worker pool,
-//! fingerprint-keyed result cache, graceful drain.
+//! The verifd server: bounded queue, fixed worker pool,
+//! fingerprint-keyed result cache, graceful drain — and, when started
+//! with [`Server::start_fleet`], the fleet ([`crate::fleet`]) that leases
+//! campaign shards to remote runners.
 //!
 //! Concurrency model: one accept thread handles HTTP requests serially —
 //! every route is a queue/cache/table operation under one mutex, never a
 //! simulation, so `/healthz` answers while every worker is busy. The
 //! workers block on a condvar and run campaigns; each completed result
 //! is published into the job table and the cache under the same mutex.
+//! A fleet adds a reaper thread that expires dead leases, and one thread
+//! per `?watch` progress stream (at most [`crate::fleet::MAX_WATCHES`]).
+//!
+//! Local jobs and fleet campaigns share one id space, one queue bound
+//! (`queue_depth` covers queued jobs plus queued shards), one `/stats`
+//! and one drain file.
 
+use crate::fleet::{self, Fleet, FleetConfig};
 use crate::http::{accept, read_request, write_response_with, Request};
 use crate::spec::CampaignSpec;
 use fault_inject::wire::{escape_json, merge_shards, Json, ShardResult};
@@ -19,10 +28,11 @@ use std::fmt::Write as _;
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
+use std::time::Instant;
 
 /// Service configuration.
 #[derive(Debug, Clone)]
@@ -30,15 +40,18 @@ pub struct ServerConfig {
     /// Bind address; port 0 picks a free port (see [`Server::addr`]).
     pub addr: String,
     /// Campaign worker threads. Zero is accepted (accept-only mode:
-    /// everything queues until drained) — useful for tests and staging.
+    /// everything queues until drained) — useful for tests and staging,
+    /// and what a fleet coordinator runs with.
     pub workers: usize,
-    /// Queue depth bound; submissions beyond it are refused with 503.
+    /// Queue depth bound on queued jobs plus queued fleet shards;
+    /// submissions beyond it are refused with 503.
     pub queue_depth: usize,
     /// Threads each worker hands to `Campaign::execute` (campaigns are
     /// deterministic in this, so it is a pure throughput knob).
     pub job_threads: usize,
-    /// Where a graceful shutdown journals the still-queued specs (one
-    /// canonical spec JSON per line). `None` disables the drain journal.
+    /// Where a graceful shutdown journals the still-queued work (one
+    /// line per job or fleet campaign), re-enqueued automatically on the
+    /// next startup. `None` disables both.
     pub drain_path: Option<PathBuf>,
 }
 
@@ -122,11 +135,16 @@ pub const RETRY_AFTER_S: u64 = 2;
 
 #[derive(Default)]
 struct Counters {
+    /// Local jobs and fleet campaigns accepted.
     submitted: u64,
     completed: u64,
     failed: u64,
+    /// Drain-file lines written.
     drained: u64,
+    /// Drain-file lines re-enqueued at startup.
     drain_resubmitted: u64,
+    /// Submissions refused because the queue was full.
+    rejected_busy: u64,
     cache_hits: u64,
     cache_misses: u64,
     golden_cache_hits: u64,
@@ -140,7 +158,7 @@ struct Counters {
     collapsed_classes_total: u64,
 }
 
-struct Inner {
+pub(crate) struct Inner {
     queue: VecDeque<u64>,
     jobs: HashMap<u64, JobState>,
     /// `CampaignSpec::cache_key` of every completed spec → the job id
@@ -152,13 +170,43 @@ struct Inner {
     /// The fingerprint of the most recently fitted model (`/predict`'s
     /// default when the request names none).
     latest_model: Option<String>,
+    /// The next id of a local job or a fleet campaign (one id space).
     next_id: u64,
     busy: usize,
-    draining: bool,
+    pub(crate) draining: bool,
     counters: Counters,
+    pub(crate) fleet: Option<Fleet>,
 }
 
-struct Shared {
+impl Inner {
+    /// Allocate the id of an accepted job or fleet campaign.
+    pub(crate) fn new_id(&mut self) -> u64 {
+        let id = self.next_id;
+        self.next_id += 1;
+        self.counters.submitted += 1;
+        id
+    }
+
+    /// Refuse `more` queued items when they would take the queued work —
+    /// local jobs plus fleet shards — past `queue_depth`.
+    pub(crate) fn admit(&mut self, more: usize, queue_depth: usize) -> Result<(), (u16, String)> {
+        if self.queued() + more > queue_depth {
+            self.counters.rejected_busy += 1;
+            return Err((503, err_json("queue full")));
+        }
+        Ok(())
+    }
+
+    fn queued(&self) -> usize {
+        let shards = self
+            .fleet
+            .as_ref()
+            .map_or(0, |fleet| fleet.table.snapshot().queued);
+        self.queue.len() + shards as usize
+    }
+}
+
+pub(crate) struct Shared {
     inner: Mutex<Inner>,
     /// One golden run per (workload hash, platform config), shared
     /// read-only across campaigns: any two specs whose programs hash the
@@ -170,47 +218,82 @@ struct Shared {
     /// Separate from `inner` so a capture in flight never blocks routes.
     golden: Mutex<HashMap<String, (Arc<PreparedWorkload>, String)>>,
     work: Condvar,
-    shutdown: AtomicBool,
-    config: ServerConfig,
+    pub(crate) shutdown: AtomicBool,
+    /// The lease table's clock starts here.
+    epoch: Instant,
+    /// Open `?watch` streams.
+    pub(crate) watches: AtomicUsize,
+    pub(crate) config: ServerConfig,
 }
 
 impl Shared {
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
+    pub(crate) fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
         // Workers panic-isolate campaigns and every update is
         // whole-record, so recovery from a poisoned lock is safe.
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Stop accepting, journal the still-queued specs to the drain file,
-    /// and wake every worker so the pool can exit once in-flight jobs
-    /// finish. Returns how many queued jobs were drained.
+    /// Milliseconds since the server started — the lease table's clock.
+    pub(crate) fn now_ms(&self) -> u64 {
+        u64::try_from(self.epoch.elapsed().as_millis()).unwrap_or(u64::MAX)
+    }
+
+    /// Journal the still-queued work to the drain file — queued jobs and
+    /// every fleet campaign with a queued or leased shard, one line each
+    /// in id order — then stop accepting, drop that work from the queue
+    /// and the lease table, and wake every worker so the pool can exit
+    /// once in-flight jobs finish. Returns how many lines were drained.
+    ///
+    /// The journal is written under the lock before anything changes, so
+    /// a write that fails leaves the server as it was.
     fn begin_shutdown(&self) -> std::io::Result<usize> {
-        let drained: Vec<(u64, JobSpec)> = {
-            let mut inner = self.lock();
-            inner.draining = true;
-            let ids: Vec<u64> = inner.queue.drain(..).collect();
-            ids.iter()
-                .map(|&id| {
-                    let job = inner.jobs.get_mut(&id).expect("queued job exists");
-                    job.status = Status::Drained;
-                    (id, job.spec.clone())
-                })
-                .collect()
-        };
-        if let (Some(path), false) = (&self.config.drain_path, drained.is_empty()) {
-            let mut file = std::fs::File::create(path)?;
-            for (_, spec) in &drained {
-                writeln!(file, "{}", spec.to_json())?;
-            }
-            file.flush()?;
-        }
         let mut inner = self.lock();
-        inner.counters.drained += drained.len() as u64;
+        let mut lines: Vec<(u64, String)> = inner
+            .queue
+            .iter()
+            .map(|id| (*id, inner.jobs[id].spec.to_json()))
+            .collect();
+        if let Some(fleet) = &inner.fleet {
+            lines.extend(fleet.drain_lines());
+        }
+        lines.sort_unstable_by_key(|(id, _)| *id);
+        if let (Some(path), false) = (&self.config.drain_path, lines.is_empty()) {
+            if let Err(e) = write_journal(path, &lines) {
+                // A torn journal must not be replayed by a later start.
+                let _ = std::fs::remove_file(path);
+                return Err(e);
+            }
+        }
+        let Inner {
+            queue,
+            jobs,
+            fleet,
+            counters,
+            draining,
+            ..
+        } = &mut *inner;
+        *draining = true;
+        for id in queue.drain(..) {
+            jobs.get_mut(&id).expect("queued job exists").status = Status::Drained;
+        }
+        if let Some(fleet) = fleet {
+            fleet.table.drain();
+        }
+        counters.drained += lines.len() as u64;
         drop(inner);
         self.shutdown.store(true, Ordering::SeqCst);
         self.work.notify_all();
-        Ok(drained.len())
+        Ok(lines.len())
     }
+}
+
+/// Write the drain journal and make it durable.
+fn write_journal(path: &Path, lines: &[(u64, String)]) -> std::io::Result<()> {
+    let mut file = std::fs::File::create(path)?;
+    for (_, line) in lines {
+        writeln!(file, "{line}")?;
+    }
+    file.sync_all()
 }
 
 /// A running service. Dropping the handle does **not** stop it; call
@@ -218,19 +301,37 @@ impl Shared {
 pub struct Server {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    accept: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    /// The accept thread, the workers and, with a fleet, the reaper.
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl Server {
-    /// Bind, spawn the accept thread and the worker pool, and return.
+    /// Bind, re-enqueue the drain file's work, spawn the accept thread
+    /// and the worker pool, and return.
     ///
     /// # Errors
     ///
     /// Fails if the address cannot be bound.
     pub fn start(config: ServerConfig) -> std::io::Result<Server> {
+        Server::launch(config, None)
+    }
+
+    /// [`Server::start`] plus a fleet: the lease table, the shard store,
+    /// the runner roster and a reaper thread that expires dead leases.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the address cannot be bound or the store directory
+    /// cannot be created.
+    pub fn start_fleet(config: ServerConfig, fleet: FleetConfig) -> std::io::Result<Server> {
+        Server::launch(config, Some(fleet))
+    }
+
+    fn launch(config: ServerConfig, fleet: Option<FleetConfig>) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
+        let fleet = fleet.map(Fleet::open).transpose()?;
+        let reaper_poll_ms = fleet.as_ref().map(|fleet| fleet.config.poll_ms);
         let shared = Arc::new(Shared {
             inner: Mutex::new(Inner {
                 queue: VecDeque::new(),
@@ -242,28 +343,34 @@ impl Server {
                 busy: 0,
                 draining: false,
                 counters: Counters::default(),
+                fleet,
             }),
             golden: Mutex::new(HashMap::new()),
             work: Condvar::new(),
             shutdown: AtomicBool::new(false),
+            epoch: Instant::now(),
+            watches: AtomicUsize::new(0),
             config,
         });
         resubmit_drained(&shared);
-        let accept = {
+        let mut threads = vec![{
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || accept_loop(&listener, &shared))
-        };
-        let workers = (0..shared.config.workers)
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(&shared))
-            })
-            .collect();
+        }];
+        threads.extend((0..shared.config.workers).map(|_| {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || worker_loop(&shared))
+        }));
+        if let Some(poll_ms) = reaper_poll_ms {
+            let shared = Arc::clone(&shared);
+            threads.push(std::thread::spawn(move || {
+                fleet::reaper_loop(&shared, poll_ms);
+            }));
+        }
         Ok(Server {
             addr,
             shared,
-            accept: Some(accept),
-            workers,
+            threads,
         })
     }
 
@@ -272,29 +379,25 @@ impl Server {
         self.addr
     }
 
-    /// Graceful shutdown: refuse new work, journal the queued specs to
-    /// the drain file, let in-flight jobs finish, join every thread.
-    /// Returns how many queued jobs were drained.
+    /// Graceful shutdown: journal the queued work to the drain file,
+    /// refuse new work, let in-flight jobs finish, join every thread.
+    /// Returns how many drain-file lines were written.
     ///
     /// # Errors
     ///
-    /// Fails if the drain journal cannot be written.
+    /// Fails if the drain journal cannot be written; the server then
+    /// keeps running with its queue intact.
     ///
     /// # Panics
     ///
-    /// Panics if the accept thread or a worker panicked (nothing in
-    /// either is expected to — campaigns are panic-isolated).
-    pub fn shutdown(mut self) -> std::io::Result<usize> {
+    /// Panics if a server thread panicked (nothing in any is expected
+    /// to — campaigns are panic-isolated).
+    pub fn shutdown(self) -> std::io::Result<usize> {
         let drained = self.shared.begin_shutdown()?;
         // The accept thread may be blocked in accept(); one throwaway
         // connection gets it to its shutdown check.
         let _ = TcpStream::connect(self.addr);
-        if let Some(accept) = self.accept.take() {
-            accept.join().expect("accept thread");
-        }
-        for worker in self.workers.drain(..) {
-            worker.join().expect("worker thread");
-        }
+        self.join();
         Ok(drained)
     }
 
@@ -302,21 +405,21 @@ impl Server {
     ///
     /// # Panics
     ///
-    /// Panics if the accept thread or a worker panicked.
-    pub fn join(mut self) {
-        if let Some(accept) = self.accept.take() {
-            accept.join().expect("accept thread");
-        }
-        for worker in self.workers.drain(..) {
-            worker.join().expect("worker thread");
+    /// Panics if a server thread panicked.
+    pub fn join(self) {
+        for thread in self.threads {
+            thread.join().expect("server thread");
         }
     }
 }
 
-/// Re-enqueue specs journaled by the previous process's graceful
-/// shutdown, then remove the file (a later shutdown rewrites it). Runs
-/// before the worker pool starts, so resubmitted jobs are ordinary
-/// queued jobs by the time anything can observe them.
+/// Re-enqueue the work journaled by the previous process's graceful
+/// shutdown, in its order, then remove the file (a later shutdown
+/// rewrites it). A line is a fleet body (it has `"shards"`), a
+/// correlation spec (it has `"benchmarks"`) or a campaign spec, and is
+/// submitted as its route would be. Runs before the threads start, so
+/// resubmitted work is ordinary queued work by the time anything can
+/// observe it.
 fn resubmit_drained(shared: &Shared) {
     let Some(path) = &shared.config.drain_path else {
         return;
@@ -324,47 +427,27 @@ fn resubmit_drained(shared: &Shared) {
     let Ok(text) = std::fs::read_to_string(path) else {
         return;
     };
-    let mut inner = shared.lock();
+    let mut resubmitted = 0;
     for line in text.lines().filter(|line| !line.trim().is_empty()) {
-        // A correlation spec is the only drained shape with a
-        // `benchmarks` list; everything else is a campaign spec.
         let Ok(parsed) = Json::parse(line) else {
             continue;
         };
-        let spec = if parsed.get("benchmarks").is_some() {
-            match CorrelationSpec::from_obj(&parsed) {
-                Ok(spec) => JobSpec::Correlation(spec),
-                Err(_) => continue,
-            }
+        let (status, _) = if parsed.get("shards").is_some() {
+            fleet::handle(shared, "/fleet", line)
+        } else if parsed.get("benchmarks").is_some() {
+            submit_correlation(shared, line)
         } else {
-            match CampaignSpec::from_obj(&parsed) {
-                Ok(spec) => JobSpec::Campaign(spec),
-                Err(_) => continue,
-            }
+            submit(shared, line)
         };
-        if inner.cache.contains_key(&spec.cache_key()) {
-            continue;
+        if status == 200 {
+            resubmitted += 1;
         }
-        let id = inner.next_id;
-        inner.next_id += 1;
-        inner.counters.submitted += 1;
-        inner.counters.drain_resubmitted += 1;
-        inner.jobs.insert(
-            id,
-            JobState {
-                spec,
-                status: Status::Queued,
-                error: None,
-                result: None,
-            },
-        );
-        inner.queue.push_back(id);
     }
-    drop(inner);
+    shared.lock().counters.drain_resubmitted += resubmitted;
     let _ = std::fs::remove_file(path);
 }
 
-fn accept_loop(listener: &TcpListener, shared: &Shared) {
+fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
@@ -374,13 +457,22 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
         };
         // Requests are handled inline: every route is a table operation,
         // so the accept thread never waits on a simulation, and a client
-        // that sends nothing holds it for at most the I/O timeout.
+        // that sends nothing holds it for at most the I/O timeout. A
+        // progress watch streams until its campaign ends, so it gets a
+        // thread of its own.
         let (status, body) = match read_request(&stream) {
-            Ok(request) => route(shared, &request),
-            Err(e) => (
-                400,
-                format!("{{\"error\":{}}}", escape_json(&e.to_string())),
-            ),
+            Ok(request) => match fleet::watch_request(&request) {
+                Some(id) => match fleet::admit_watch(shared, id) {
+                    Ok(()) => {
+                        let shared = Arc::clone(shared);
+                        std::thread::spawn(move || fleet::stream_progress(&shared, stream, id));
+                        continue;
+                    }
+                    Err(refused) => refused,
+                },
+                None => route(shared, &request),
+            },
+            Err(e) => (400, err_json(&e.to_string())),
         };
         // Every refusal is honest about when to try again.
         let retry_after = RETRY_AFTER_S.to_string();
@@ -415,13 +507,10 @@ fn worker_loop(shared: &Shared) {
             }
         };
         let outcome = match &spec {
-            JobSpec::Campaign(spec) => {
-                run_spec(spec, shared.config.job_threads, shared).map(|shard| {
-                    let totals = results_totals(std::slice::from_ref(&shard));
-                    (JobOutput::Shard(shard), totals)
-                })
+            JobSpec::Campaign(spec) => isolate("campaign", || run_campaign(spec, shared)),
+            JobSpec::Correlation(spec) => {
+                isolate("correlation sweep", || run_correlation(spec, shared))
             }
-            JobSpec::Correlation(spec) => run_correlation(spec, shared.config.job_threads, shared),
         };
         let mut inner = shared.lock();
         inner.busy -= 1;
@@ -468,39 +557,58 @@ fn results_totals(results: &[ShardResult]) -> (u64, u64, u64) {
     })
 }
 
-/// Run one spec with an extra panic net around the whole campaign (the
-/// engine already panic-isolates each job; this catches golden-run
-/// panics, which are workload bugs, so a bad spec cannot take a worker
-/// down with it). The golden run comes from the service's prepared
-/// cache when a previous campaign over the same workload and platform
-/// configuration already captured it — the result is byte-identical to
-/// an uncached run.
-fn run_spec(
+/// Run `run` with a panic net: the engine already panic-isolates each
+/// job, so this catches golden-run panics, which are workload bugs — a
+/// bad spec fails its own job or lease, never the thread that runs it.
+pub(crate) fn isolate<T>(what: &str, run: impl FnOnce() -> Result<T, String>) -> Result<T, String> {
+    catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|payload| {
+        let message = payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".to_string());
+        Err(format!("{what} panicked: {message}"))
+    })
+}
+
+/// Run one campaign spec — one shard of it when the spec names one —
+/// under `options`, and wrap its result. Workers and fleet runners both
+/// run campaigns through here.
+pub(crate) fn run_shard(
     spec: &CampaignSpec,
-    job_threads: usize,
-    shared: &Shared,
+    threads: usize,
+    options: &ExecOptions,
 ) -> Result<ShardResult, String> {
-    let spec = spec.clone();
-    let run = catch_unwind(AssertUnwindSafe(move || {
-        let campaign = spec.to_campaign();
-        let (index, count) = spec.shard.unwrap_or((0, 1));
-        let prepared =
-            prepare_golden(&campaign, spec.safety.parity, shared).map_err(|e| e.to_string())?;
-        let options = ExecOptions {
-            golden: Some(&prepared),
-            ..ExecOptions::default()
-        };
-        campaign
-            .execute(job_threads, &options)
-            .map(|mut results| ShardResult {
-                fingerprint: campaign.fingerprint(),
-                index,
-                count,
-                result: results.remove(0),
-            })
-            .map_err(|e| e.to_string())
-    }));
-    unwrap_run(run, "campaign")
+    let campaign = spec.to_campaign();
+    let (index, count) = spec.shard.unwrap_or((0, 1));
+    let mut results = campaign
+        .execute(threads, options)
+        .map_err(|e| e.to_string())?;
+    Ok(ShardResult {
+        fingerprint: campaign.fingerprint(),
+        index,
+        count,
+        result: results.remove(0),
+    })
+}
+
+/// Run one queued campaign spec. The golden run comes from the
+/// service's prepared cache when a previous campaign over the same
+/// workload and platform configuration already captured it — the result
+/// is byte-identical to an uncached run.
+fn run_campaign(
+    spec: &CampaignSpec,
+    shared: &Shared,
+) -> Result<(JobOutput, (u64, u64, u64)), String> {
+    let prepared = prepare_golden(&spec.to_campaign(), spec.safety.parity, shared)
+        .map_err(|e| e.to_string())?;
+    let options = ExecOptions {
+        golden: Some(&prepared),
+        ..ExecOptions::default()
+    };
+    let shard = run_shard(spec, shared.config.job_threads, &options)?;
+    let totals = results_totals(std::slice::from_ref(&shard));
+    Ok((JobOutput::Shard(shard), totals))
 }
 
 /// Fetch or capture a golden run for one campaign. The cache key is
@@ -550,42 +658,22 @@ fn prepare_golden(
 /// later `/merge`.
 fn run_correlation(
     spec: &CorrelationSpec,
-    job_threads: usize,
     shared: &Shared,
 ) -> Result<(JobOutput, (u64, u64, u64)), String> {
-    let run = catch_unwind(AssertUnwindSafe(|| {
-        // Correlation campaigns run no safety mechanisms, so parity is
-        // always off in the golden key — and a plain `/campaign` over the
-        // same workload shares the capture.
-        let shard = spec
-            .run_with(job_threads, |_, campaign| {
-                prepare_golden(campaign, false, shared)
-            })
-            .map_err(|e| e.to_string())?;
-        let totals = results_totals(&shard.results);
-        if shard.count == 1 {
-            let report = merge_correlation_shards(vec![shard])?;
-            Ok((JobOutput::Report(report), totals))
-        } else {
-            Ok((JobOutput::Partial(shard), totals))
-        }
-    }));
-    unwrap_run(run, "correlation sweep")
-}
-
-/// Turn a `catch_unwind` result into the job outcome, stringifying a
-/// panic payload (a workload bug must not take a worker down).
-fn unwrap_run<T>(run: std::thread::Result<Result<T, String>>, what: &str) -> Result<T, String> {
-    match run {
-        Ok(result) => result,
-        Err(payload) => {
-            let message = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_string());
-            Err(format!("{what} panicked: {message}"))
-        }
+    // Correlation campaigns run no safety mechanisms, so parity is
+    // always off in the golden key — and a plain `/campaign` over the
+    // same workload shares the capture.
+    let shard = spec
+        .run_with(shared.config.job_threads, |_, campaign| {
+            prepare_golden(campaign, false, shared)
+        })
+        .map_err(|e| e.to_string())?;
+    let totals = results_totals(&shard.results);
+    if shard.count == 1 {
+        let report = merge_correlation_shards(vec![shard])?;
+        Ok((JobOutput::Report(report), totals))
+    } else {
+        Ok((JobOutput::Partial(shard), totals))
     }
 }
 
@@ -601,14 +689,15 @@ fn route(shared: &Shared, request: &Request) -> (u16, String) {
         ("GET", "/stats") => (200, stats_json(shared)),
         ("POST", "/campaign") => submit(shared, &request.body),
         ("GET", path) if path.starts_with("/campaign/") => {
-            match path["/campaign/".len()..].parse::<u64>() {
-                Ok(id) => job_status(shared, id),
-                Err(_) => (400, err_json("campaign ids are integers")),
-            }
+            campaign_status(shared, &path["/campaign/".len()..])
         }
         ("POST", "/correlate") => submit_correlation(shared, &request.body),
         ("POST", "/predict") => predict(shared, &request.body),
         ("POST", "/merge") => merge(shared, &request.body),
+        (
+            "POST",
+            path @ ("/fleet" | "/register" | "/lease" | "/heartbeat" | "/complete" | "/fail"),
+        ) => fleet::handle(shared, path, &request.body),
         ("POST", "/shutdown") => match shared.begin_shutdown() {
             Ok(drained) => (200, format!("{{\"ok\":true,\"drained\":{drained}}}")),
             Err(e) => (503, err_json(&format!("drain journal failed: {e}"))),
@@ -618,10 +707,14 @@ fn route(shared: &Shared, request: &Request) -> (u16, String) {
     }
 }
 
-fn err_json(message: &str) -> String {
+pub(crate) fn err_json(message: &str) -> String {
     format!("{{\"error\":{}}}", escape_json(message))
 }
 
+/// `/stats`: the local service's counters and the fleet's, which read
+/// zero (`"fleet":[]`) on a server without one. `queue_depth` counts
+/// queued jobs plus queued shards; `submitted` counts jobs plus fleet
+/// campaigns; `drained` and `drain_resubmitted` count drain-file lines.
 fn stats_json(shared: &Shared) -> String {
     let golden_entries = shared
         .golden
@@ -636,7 +729,11 @@ fn stats_json(shared: &Shared) -> String {
     } else {
         inner.busy as f64 / workers as f64
     };
-    let mut s = String::with_capacity(256);
+    let fleet = inner.fleet.as_ref();
+    let leases = fleet.map(|f| f.table.counters()).unwrap_or_default();
+    let slots = fleet.map(|f| f.table.snapshot()).unwrap_or_default();
+    let count = |read: fn(&Fleet) -> u64| fleet.map_or(0, read);
+    let mut s = String::with_capacity(1024);
     let _ = write!(
         s,
         "{{\"queue_depth\":{},\"queue_capacity\":{},\"workers\":{workers},\
@@ -648,8 +745,14 @@ fn stats_json(shared: &Shared) -> String {
          \"golden_store_hits\":{},\
          \"cycles_simulated_total\":{},\"statically_pruned\":{},\
          \"collapsed_classes\":{},\"models_cached\":{},\"predictions\":{},\
-         \"draining\":{}}}",
-        inner.queue.len(),
+         \"draining\":{},\"campaigns\":{},\
+         \"runners\":{},\"rejected_busy\":{},\
+         \"leases_active\":{},\"leases_granted\":{},\"leases_expired\":{},\
+         \"leases_failed\":{},\"leases_retried\":{},\"shards_done\":{},\
+         \"shards_poisoned\":{},\"stale_uploads\":{},\
+         \"jobs_recovered_total\":{},\
+         \"store_puts\":{},\"store_dedup_hits\":{},\"fleet\":[",
+        inner.queued(),
         shared.config.queue_depth,
         inner.busy,
         c.submitted,
@@ -670,8 +773,62 @@ fn stats_json(shared: &Shared) -> String {
         inner.models.len(),
         c.predictions,
         inner.draining,
+        count(|f| f.campaigns() as u64),
+        count(|f| f.runners.len() as u64),
+        c.rejected_busy,
+        slots.leased,
+        leases.granted,
+        leases.expired,
+        leases.failed,
+        leases.retried,
+        leases.completed,
+        leases.poisoned,
+        count(|f| f.stale_uploads),
+        count(|f| f.jobs_recovered_total),
+        count(|f| f.store.puts()),
+        count(|f| f.store.dedup_hits()),
     );
+    // The registered runners, ids ascending.
+    for (i, (id, runner)) in fleet.iter().flat_map(|f| &f.runners).enumerate() {
+        if i > 0 {
+            s.push(',');
+        }
+        let _ = write!(
+            s,
+            "{{\"runner_id\":{id},\"name\":{},\"threads\":{}}}",
+            escape_json(&runner.name),
+            runner.threads,
+        );
+    }
+    s.push_str("]}");
     s
+}
+
+/// `GET /campaign/{id}`: a local job or a fleet campaign — whichever
+/// holds the id — in that kind's body. `/campaign/{id}/shard/{k}` reads
+/// one stored fleet shard.
+fn campaign_status(shared: &Shared, rest: &str) -> (u16, String) {
+    let mut inner = shared.lock();
+    let no_campaign = || (404, err_json("no such campaign"));
+    if let Some((id, shard)) = rest.split_once("/shard/") {
+        let (Ok(id), Ok(shard)) = (id.parse::<u64>(), shard.parse::<u32>()) else {
+            return (400, err_json("campaign and shard ids are integers"));
+        };
+        return inner
+            .fleet
+            .as_ref()
+            .map_or_else(no_campaign, |fleet| fleet.shard_status(id, shard));
+    }
+    let Ok(id) = rest.parse::<u64>() else {
+        return (400, err_json("campaign ids are integers"));
+    };
+    match inner.jobs.get(&id) {
+        Some(job) => job_status(id, job),
+        None => inner
+            .fleet
+            .as_mut()
+            .map_or_else(no_campaign, |fleet| fleet.campaign_status(id)),
+    }
 }
 
 fn submit(shared: &Shared, body: &str) -> (u16, String) {
@@ -729,13 +886,11 @@ fn enqueue(shared: &Shared, spec: JobSpec) -> (u16, String) {
             format!("{{\"id\":{id},\"status\":\"done\",\"cached\":true}}"),
         );
     }
-    if inner.queue.len() >= shared.config.queue_depth {
-        return (503, err_json("queue full"));
+    if let Err(refused) = inner.admit(1, shared.config.queue_depth) {
+        return refused;
     }
     inner.counters.cache_misses += 1;
-    inner.counters.submitted += 1;
-    let id = inner.next_id;
-    inner.next_id += 1;
+    let id = inner.new_id();
     inner.jobs.insert(
         id,
         JobState {
@@ -798,11 +953,7 @@ fn predict(shared: &Shared, body: &str) -> (u16, String) {
     (200, prediction.to_json())
 }
 
-fn job_status(shared: &Shared, id: u64) -> (u16, String) {
-    let inner = shared.lock();
-    let Some(job) = inner.jobs.get(&id) else {
-        return (404, err_json("no such campaign"));
-    };
+fn job_status(id: u64, job: &JobState) -> (u16, String) {
     let mut s = format!("{{\"id\":{id},\"status\":\"{}\"", job.status.name());
     if let Some(error) = &job.error {
         let _ = write!(s, ",\"error\":{}", escape_json(error));

@@ -13,7 +13,9 @@ use fault_inject::{InjectionInstant, Target};
 use rtl_sim::FaultKind;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
-use verifd::{client, CampaignSpec, Coordinator, CoordinatorConfig, Runner, RunnerConfig};
+use verifd::{
+    client, CampaignSpec, FleetConfig, LeasePolicy, Runner, RunnerConfig, Server, ServerConfig,
+};
 use workloads::Benchmark;
 
 const SHARDS: u32 = 3;
@@ -98,17 +100,24 @@ fn run_chaos_schedules(base: &CampaignSpec, seeds: &[u64]) {
 
     for &seed in seeds {
         let dir = tempdir(&format!("seed{seed}"));
-        let coordinator = Coordinator::start(CoordinatorConfig {
-            lease_ttl_ms: 300,
-            heartbeat_ms: 50,
-            max_attempts: 6,
-            backoff_base_ms: 10,
-            backoff_cap_ms: 50,
-            poll_ms: 25,
-            store_path: dir.join("store"),
-            drain_path: None,
-            ..CoordinatorConfig::default()
-        })
+        let coordinator = Server::start_fleet(
+            ServerConfig {
+                workers: 0,
+                queue_depth: 256,
+                ..ServerConfig::default()
+            },
+            FleetConfig {
+                lease: LeasePolicy {
+                    ttl_ms: 300,
+                    max_attempts: 6,
+                    backoff_base_ms: 10,
+                    backoff_cap_ms: 50,
+                },
+                heartbeat_ms: 50,
+                poll_ms: 25,
+                store_path: dir.join("store"),
+            },
+        )
         .expect("bind coordinator");
         let addr = coordinator.addr().to_string();
         let submitted = client::fleet_submit(&addr, base, SHARDS).expect("submit");

@@ -1,14 +1,21 @@
 //! Fleet end-to-end tests: a real coordinator and real runners on
 //! loopback, including the kill-recovery acceptance test.
 
-use fault_inject::{AttackTarget, ExecOptions, InjectionInstant, JournalMode, Target};
+use fault_inject::wire::fleet::{Complete, LeaseReply};
+use fault_inject::{
+    AttackTarget, CorrelationSpec, ExecOptions, InjectionInstant, JournalMode, Target,
+};
 use rtl_sim::FaultKind;
-use std::io::Write as _;
+use std::io::{BufRead as _, BufReader, Write as _};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
-use verifd::http::{IO_TIMEOUT, REQUEST_DEADLINE};
-use verifd::{client, CampaignSpec, Coordinator, CoordinatorConfig, Runner, RunnerConfig};
+use verifd::fleet::MAX_WATCHES;
+use verifd::http::{write_request, IO_TIMEOUT, REQUEST_DEADLINE};
+use verifd::service::RETRY_AFTER_S;
+use verifd::{
+    client, CampaignSpec, FleetConfig, LeasePolicy, Runner, RunnerConfig, Server, ServerConfig,
+};
 use workloads::Benchmark;
 
 fn small_spec() -> CampaignSpec {
@@ -53,18 +60,32 @@ fn tempdir(tag: &str) -> PathBuf {
 }
 
 /// A coordinator tuned for tests: short leases, fast retries.
-fn fast_config(dir: &std::path::Path) -> CoordinatorConfig {
-    CoordinatorConfig {
-        lease_ttl_ms: 250,
-        heartbeat_ms: 50,
-        max_attempts: 5,
-        backoff_base_ms: 10,
-        backoff_cap_ms: 50,
-        poll_ms: 25,
-        store_path: dir.join("store"),
-        drain_path: Some(dir.join("drain.jsonl")),
-        ..CoordinatorConfig::default()
-    }
+fn fast_config(dir: &std::path::Path) -> (ServerConfig, FleetConfig) {
+    (
+        ServerConfig {
+            workers: 0,
+            queue_depth: 256,
+            drain_path: Some(dir.join("drain.jsonl")),
+            ..ServerConfig::default()
+        },
+        FleetConfig {
+            lease: LeasePolicy {
+                ttl_ms: 250,
+                max_attempts: 5,
+                backoff_base_ms: 10,
+                backoff_cap_ms: 50,
+            },
+            heartbeat_ms: 50,
+            poll_ms: 25,
+            store_path: dir.join("store"),
+        },
+    )
+}
+
+/// A coordinator over [`fast_config`].
+fn start_fast(dir: &std::path::Path) -> Server {
+    let (config, fleet) = fast_config(dir);
+    Server::start_fleet(config, fleet).expect("bind coordinator")
 }
 
 fn runner_config(addr: &str, dir: &std::path::Path, name: &str) -> RunnerConfig {
@@ -99,7 +120,7 @@ fn wait_for_stat(addr: &str, key: &str, want: u64) {
 #[test]
 fn killed_runner_recovers_bit_identically() {
     let dir = tempdir("kill");
-    let coordinator = Coordinator::start(fast_config(&dir)).expect("bind coordinator");
+    let coordinator = start_fast(&dir);
     let addr = coordinator.addr().to_string();
     let base = small_spec();
 
@@ -166,7 +187,7 @@ fn killed_runner_recovers_bit_identically() {
 
     // A fresh coordinator over the same store serves the whole campaign
     // from disk: zero new leases, all shards prefilled.
-    let revived = Coordinator::start(fast_config(&dir)).expect("restart coordinator");
+    let revived = start_fast(&dir);
     let addr = revived.addr().to_string();
     let resubmitted = client::fleet_submit(&addr, &base, 2).expect("resubmit");
     assert_eq!(resubmitted.status, "done");
@@ -188,7 +209,7 @@ fn intermittent_targeted_campaign_survives_a_mid_shard_kill_bit_identically() {
     // reconstructs the duty-cycle schedule or flip train would change a
     // merged byte here.
     let dir = tempdir("tv-kill");
-    let coordinator = Coordinator::start(fast_config(&dir)).expect("bind coordinator");
+    let coordinator = start_fast(&dir);
     let addr = coordinator.addr().to_string();
     let base = time_varying_spec();
 
@@ -251,11 +272,9 @@ fn uploaded_partial_journal_resumes_without_resimulating_finished_jobs() {
     let dir = tempdir("resume");
     // Long TTL: this test drives the runner protocol by hand, without
     // heartbeats.
-    let coordinator = Coordinator::start(CoordinatorConfig {
-        lease_ttl_ms: 60_000,
-        ..fast_config(&dir)
-    })
-    .expect("bind coordinator");
+    let (config, mut fleet) = fast_config(&dir);
+    fleet.lease.ttl_ms = 60_000;
+    let coordinator = Server::start_fleet(config, fleet).expect("bind coordinator");
     let addr = coordinator.addr().to_string();
     let base = small_spec();
 
@@ -356,12 +375,9 @@ fn uploaded_partial_journal_resumes_without_resimulating_finished_jobs() {
 #[test]
 fn full_queue_says_503_with_retry_after() {
     let dir = tempdir("busy");
-    let coordinator = Coordinator::start(CoordinatorConfig {
-        queue_depth: 1,
-        retry_after_s: 7,
-        ..fast_config(&dir)
-    })
-    .expect("bind coordinator");
+    let (mut config, fleet) = fast_config(&dir);
+    config.queue_depth = 1;
+    let coordinator = Server::start_fleet(config, fleet).expect("bind coordinator");
     let addr = coordinator.addr().to_string();
     let spec = small_spec();
 
@@ -371,7 +387,8 @@ fn full_queue_says_503_with_retry_after() {
     let body = format!("{},\"shards\":4}}", &json[..json.len() - 1]);
     let refused = client::request_full(&addr, "POST", "/fleet", &body).expect("request");
     assert_eq!(refused.status, 503);
-    assert_eq!(refused.header("retry-after"), Some("7"));
+    let retry_after = RETRY_AFTER_S.to_string();
+    assert_eq!(refused.header("retry-after"), Some(retry_after.as_str()));
     assert!(refused.body.contains("queue full"));
 
     // One shard fits.
@@ -394,8 +411,8 @@ fn full_queue_says_503_with_retry_after() {
 #[test]
 fn coordinator_drain_file_resubmits_on_startup() {
     let dir = tempdir("drain");
-    let config = fast_config(&dir);
-    let coordinator = Coordinator::start(config.clone()).expect("bind coordinator");
+    let (config, fleet) = fast_config(&dir);
+    let coordinator = Server::start_fleet(config.clone(), fleet.clone()).expect("bind coordinator");
     let addr = coordinator.addr().to_string();
     let base = small_spec();
 
@@ -408,7 +425,7 @@ fn coordinator_drain_file_resubmits_on_startup() {
 
     // Startup re-enqueues it automatically — no manual resubmission —
     // and a runner then completes it.
-    let revived = Coordinator::start(config).expect("restart coordinator");
+    let revived = Server::start_fleet(config, fleet).expect("restart coordinator");
     let addr = revived.addr().to_string();
     assert!(!drain_file.exists(), "drain journal consumed");
     assert_eq!(stat(&addr, "drain_resubmitted"), 1);
@@ -426,7 +443,6 @@ fn coordinator_drain_file_resubmits_on_startup() {
 
 #[test]
 fn server_drain_file_resubmits_on_startup() {
-    use verifd::{Server, ServerConfig};
     let dir = tempdir("server-drain");
     let drain = dir.join("drain.jsonl");
     // Zero workers: everything queues; shutdown drains it all.
@@ -471,11 +487,9 @@ fn server_drain_file_resubmits_on_startup() {
 #[test]
 fn exhausted_shard_poisons_and_the_campaign_degrades() {
     let dir = tempdir("poison");
-    let coordinator = Coordinator::start(CoordinatorConfig {
-        max_attempts: 1,
-        ..fast_config(&dir)
-    })
-    .expect("bind coordinator");
+    let (config, mut fleet) = fast_config(&dir);
+    fleet.lease.max_attempts = 1;
+    let coordinator = Server::start_fleet(config, fleet).expect("bind coordinator");
     let addr = coordinator.addr().to_string();
     let base = small_spec();
 
@@ -516,7 +530,7 @@ fn exhausted_shard_poisons_and_the_campaign_degrades() {
 #[test]
 fn progress_watch_streams_chunks_until_terminal() {
     let dir = tempdir("watch");
-    let coordinator = Coordinator::start(fast_config(&dir)).expect("bind coordinator");
+    let coordinator = start_fast(&dir);
     let addr = coordinator.addr().to_string();
     let base = small_spec();
 
@@ -555,7 +569,7 @@ fn progress_watch_streams_chunks_until_terminal() {
 #[test]
 fn an_idle_connection_does_not_stall_the_coordinator() {
     let dir = tempdir("idle");
-    let coordinator = Coordinator::start(fast_config(&dir)).expect("bind coordinator");
+    let coordinator = start_fast(&dir);
     let addr = coordinator.addr().to_string();
     // Connects, then sends nothing: the accept loop takes it first. The
     // health check runs on a thread of its own so a stalled coordinator
@@ -575,15 +589,11 @@ fn an_idle_connection_does_not_stall_the_coordinator() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn a_trickling_client_does_not_stall_the_coordinator() {
-    let dir = tempdir("trickle");
-    let coordinator = Coordinator::start(fast_config(&dir)).expect("bind coordinator");
-    let addr = coordinator.addr().to_string();
-    // Connects, then sends a request head one byte per second until the
-    // coordinator hangs up; the accept loop takes it first.
-    let mut stream = TcpStream::connect(&addr).expect("trickling connection");
-    let slow = std::thread::spawn(move || {
+/// A client that connects and sends a request head one byte per second
+/// until the server hangs up; the thread ends once a write fails.
+fn trickle(addr: &str) -> std::thread::JoinHandle<()> {
+    let mut stream = TcpStream::connect(addr).expect("trickling connection");
+    std::thread::spawn(move || {
         let head = b"GET /healthz HTTP/1.1\r\nx-slow: ";
         for &byte in head.iter().chain(std::iter::repeat(&b'x')).take(60) {
             if stream.write_all(&[byte]).is_err() {
@@ -591,7 +601,16 @@ fn a_trickling_client_does_not_stall_the_coordinator() {
             }
             std::thread::sleep(Duration::from_secs(1));
         }
-    });
+    })
+}
+
+#[test]
+fn a_trickling_client_does_not_stall_the_coordinator() {
+    let dir = tempdir("trickle");
+    let coordinator = start_fast(&dir);
+    let addr = coordinator.addr().to_string();
+    // The accept loop takes the trickling client first.
+    let slow = trickle(&addr);
     let (tx, rx) = std::sync::mpsc::channel();
     let probe = addr.clone();
     std::thread::spawn(move || {
@@ -603,5 +622,241 @@ fn a_trickling_client_does_not_stall_the_coordinator() {
     assert!(!reply.expect("healthz"), "not draining");
     coordinator.shutdown().expect("shutdown");
     slow.join().expect("trickling client");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Run `spec` as a two-shard fleet campaign on a fresh coordinator with
+/// two runners, optionally holding the accept loop with an idle and a
+/// trickling client once both shards are leased. Returns the time from
+/// submission to `done`, the merged result and `leases_expired`.
+fn timed_fleet_campaign(
+    dir: &std::path::Path,
+    spec: &CampaignSpec,
+    stalled: bool,
+) -> (Duration, fault_inject::wire::ShardResult, u64) {
+    let (config, mut fleet) = fast_config(dir);
+    // Far past the longest stall, so no lease expires while its runner
+    // waits on the accept loop.
+    fleet.lease.ttl_ms = 4 * u64::try_from((REQUEST_DEADLINE + IO_TIMEOUT).as_millis()).unwrap();
+    let coordinator = Server::start_fleet(config, fleet).expect("bind coordinator");
+    let addr = coordinator.addr().to_string();
+    // Each runner holds its lease a moment before simulating, so both
+    // shards are leased at once before the stall begins.
+    let runners: Vec<Runner> = ["a", "b"]
+        .iter()
+        .map(|name| {
+            Runner::start(RunnerConfig {
+                hold_ms: 300,
+                ..runner_config(&addr, dir, name)
+            })
+            .expect("start runner")
+        })
+        .collect();
+    let started = Instant::now();
+    let submitted = client::fleet_submit(&addr, spec, 2).expect("submit fleet");
+    wait_for_stat(&addr, "leases_active", 2);
+    let stall = stalled.then(|| (TcpStream::connect(&addr).expect("idle"), trickle(&addr)));
+    let status = client::fleet_wait(&addr, submitted.id).expect("wait");
+    let elapsed = started.elapsed();
+    assert_eq!(status.status, "done");
+    let expired = stat(&addr, "leases_expired");
+    if let Some((idle, slow)) = stall {
+        drop(idle);
+        slow.join().expect("trickling client");
+    }
+    for runner in runners {
+        runner.stop();
+    }
+    coordinator.shutdown().expect("shutdown");
+    (elapsed, status.campaign.expect("merged"), expired)
+}
+
+#[test]
+fn a_stalled_client_beside_a_live_fleet_delays_it_by_at_most_the_request_bound() {
+    let dir = tempdir("stalled-fleet");
+    let base = small_spec();
+    let (unstalled, _, _) = timed_fleet_campaign(&dir.join("unstalled"), &base, false);
+    let (stalled, merged, expired) = timed_fleet_campaign(&dir.join("stalled"), &base, true);
+    // The stall really held the loop: the trickler alone is served for
+    // the whole request deadline.
+    assert!(stalled > REQUEST_DEADLINE, "stalled run took {stalled:?}");
+    // An idle client costs one I/O timeout and a trickler the request
+    // deadline plus one more; runners wait that out and carry on.
+    let bound = unstalled + REQUEST_DEADLINE + 2 * IO_TIMEOUT + Duration::from_secs(5);
+    assert!(
+        stalled <= bound,
+        "stalled run took {stalled:?}, unstalled {unstalled:?}"
+    );
+    assert_eq!(expired, 0, "no lease expired behind the stall");
+    let local = base.to_campaign().try_run(2).expect("local run");
+    let local_wire = fault_inject::wire::ShardResult {
+        fingerprint: base.fingerprint(),
+        index: 0,
+        count: 1,
+        result: local,
+    };
+    assert_eq!(merged.to_json(), local_wire.to_json());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_mismatched_upload_fails_its_lease_and_the_campaign_still_completes() {
+    let dir = tempdir("mismatch");
+    // Long TTL: the fake runner below sends no heartbeats.
+    let (config, mut fleet) = fast_config(&dir);
+    fleet.lease.ttl_ms = 60_000;
+    let coordinator = Server::start_fleet(config, fleet).expect("bind coordinator");
+    let addr = coordinator.addr().to_string();
+    let base = small_spec();
+    let submitted = client::fleet_submit(&addr, &base, 1).expect("submit fleet");
+
+    // A runner that uploads another spec's result under its lease.
+    let mut other = base.clone();
+    other.sample = Some((8, 4));
+    let foreign = fault_inject::wire::ShardResult {
+        fingerprint: other.fingerprint(),
+        index: 0,
+        count: 1,
+        result: other.to_campaign().try_run(1).expect("other run"),
+    };
+    let fake = client::fleet_register(&addr, "fake", 1).expect("register");
+    let grant = match client::fleet_lease(&addr, fake.runner_id).expect("lease") {
+        LeaseReply::Grant(grant) => grant,
+        other => panic!("expected a grant, got {other:?}"),
+    };
+    let wrong = Complete {
+        runner_id: fake.runner_id,
+        lease_id: grant.lease_id,
+        shard: foreign,
+    };
+    match client::fleet_complete(&addr, &wrong) {
+        Err(verifd::ClientError::Http { status: 400, .. }) => {}
+        other => panic!("expected 400, got {other:?}"),
+    }
+    // The refusal failed the lease: the shard is not done, and it is
+    // queued again for an honest runner.
+    assert_eq!(stat(&addr, "shards_done"), 0);
+    assert_eq!(stat(&addr, "leases_failed"), 1);
+    assert_eq!(stat(&addr, "store_puts"), 0);
+
+    let runner = Runner::start(runner_config(&addr, &dir, "honest")).expect("start runner");
+    let status = client::fleet_wait(&addr, submitted.id).expect("wait");
+    assert_eq!(status.status, "done");
+    let local = base.to_campaign().try_run(2).expect("local run");
+    assert_eq!(status.campaign.expect("merged").result, local);
+    runner.stop();
+    coordinator.shutdown().expect("shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Open a raw `?watch` stream and read its response head: the stream,
+/// the status and the `retry-after` header, if any.
+fn open_watch(addr: &str, path: &str) -> (TcpStream, u16, Option<String>) {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    write_request(&mut stream, "GET", path, "").expect("send");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("status line");
+    let status = line
+        .split_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .expect("a status code");
+    let mut retry_after = None;
+    loop {
+        line.clear();
+        reader.read_line(&mut line).expect("header line");
+        let header = line.trim_end();
+        if header.is_empty() {
+            break;
+        }
+        if let Some(value) = header.strip_prefix("retry-after: ") {
+            retry_after = Some(value.to_string());
+        }
+    }
+    (stream, status, retry_after)
+}
+
+#[test]
+fn progress_watches_are_capped_and_a_hang_up_frees_a_slot() {
+    let dir = tempdir("watch-cap");
+    let coordinator = start_fast(&dir);
+    let addr = coordinator.addr().to_string();
+    // No runner: the campaign never ends, so no watch ends on its own.
+    let submitted = client::fleet_submit(&addr, &small_spec(), 2).expect("submit");
+    let path = format!("/campaign/{}?watch", submitted.id);
+    let mut watches: Vec<TcpStream> = (0..MAX_WATCHES)
+        .map(|_| {
+            let (stream, status, _) = open_watch(&addr, &path);
+            assert_eq!(status, 200);
+            stream
+        })
+        .collect();
+    let (_, status, retry_after) = open_watch(&addr, &path);
+    assert_eq!(status, 503, "one watch past the cap");
+    assert_eq!(retry_after, Some(RETRY_AFTER_S.to_string()));
+
+    // A watcher that hangs up gives its slot back within a poll.
+    drop(watches.pop());
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let (stream, status, _) = open_watch(&addr, &path);
+        if status == 200 {
+            watches.push(stream);
+            break;
+        }
+        assert_eq!(status, 503);
+        assert!(Instant::now() < deadline, "the freed slot was never reused");
+        std::thread::sleep(Duration::from_millis(25));
+    }
+    drop(watches);
+    coordinator.shutdown().expect("shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn local_jobs_and_fleet_campaigns_share_one_id_space_and_one_drain_file() {
+    let dir = tempdir("one-core");
+    let (config, fleet) = fast_config(&dir);
+    let server = Server::start_fleet(config.clone(), fleet.clone()).expect("bind");
+    let addr = server.addr().to_string();
+    let spec = small_spec();
+    let mut sweep = CorrelationSpec::new();
+    sweep.benchmarks = vec![Benchmark::Membench, Benchmark::Intbench];
+    sweep.sample = Some((6, 1));
+    let local = client::submit(&addr, &spec).expect("local job");
+    let sharded = client::fleet_submit(&addr, &spec, 2).expect("fleet campaign");
+    let correlation = client::correlate(&addr, &sweep).expect("sweep");
+    assert_eq!((local.id, sharded.id, correlation.id), (1, 2, 3));
+    // `GET /campaign/{id}` answers each id in its own kind's body.
+    assert_eq!(client::status(&addr, 1).expect("job").status, "queued");
+    assert_eq!(client::fleet_status(&addr, 2).expect("fleet").total, 2);
+    // One queue bound covers local jobs and queued shards.
+    assert_eq!(stat(&addr, "queue_depth"), 4);
+    assert_eq!(stat(&addr, "submitted"), 3);
+
+    // One drain file: a line per job or campaign, in id order.
+    assert_eq!(server.shutdown().expect("shutdown"), 3);
+    let journal = std::fs::read_to_string(dir.join("drain.jsonl")).expect("drain file");
+    let lines: Vec<&str> = journal.lines().collect();
+    assert_eq!(lines.len(), 3);
+    assert_eq!(CampaignSpec::parse(lines[0]).expect("campaign spec"), spec);
+    assert!(lines[1].contains("\"shards\":2"), "{}", lines[1]);
+    assert_eq!(
+        CorrelationSpec::parse(lines[2]).expect("correlation spec"),
+        sweep
+    );
+
+    // The restart replays all three, in order, into the same id space.
+    let revived = Server::start_fleet(config, fleet).expect("rebind");
+    let addr = revived.addr().to_string();
+    assert_eq!(stat(&addr, "drain_resubmitted"), 3);
+    assert_eq!(stat(&addr, "queue_depth"), 4);
+    assert_eq!(client::status(&addr, 1).expect("job").status, "queued");
+    assert_eq!(client::fleet_status(&addr, 2).expect("fleet").total, 2);
+    revived.shutdown().expect("shutdown");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,5 +1,5 @@
 //! Hostile request heads against `verifd::http::read_request`, the reader
-//! both accept loops run on every connection. Seeded random and mutated
+//! the server's accept loop runs on every connection. Seeded random and mutated
 //! requests go through a loopback socket pair, one connection at a time:
 //! truncated lines, a missing, non-numeric or oversized `Content-Length`,
 //! non-UTF-8 bytes and header runs past `http::MAX_HEAD`. Each must come

@@ -368,8 +368,63 @@ fn bad_submissions_and_unknown_routes_are_refused() {
         Ok((404, _)) => {}
         other => panic!("expected 404 for unknown id, got {other:?}"),
     }
+    // A server started without a fleet has no fleet routes.
+    for path in [
+        "/fleet",
+        "/register",
+        "/lease",
+        "/heartbeat",
+        "/complete",
+        "/fail",
+    ] {
+        match client::request(&addr, "POST", path, "{}") {
+            Ok((404, _)) => {}
+            other => panic!("expected 404 for {path}, got {other:?}"),
+        }
+    }
 
     server.shutdown().expect("shutdown");
+}
+
+#[test]
+fn an_unwritable_drain_journal_loses_no_queued_work() {
+    let dir = std::env::temp_dir().join(format!("verifd-unwritable-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    // A directory where the drain file belongs: the journal cannot be
+    // written.
+    let drain = dir.join("drain.jsonl");
+    std::fs::create_dir_all(&drain).expect("temp dir");
+    let (server, addr) = start(0, Some(drain.clone()));
+    let mut first = small_spec();
+    first.sample = Some((8, 21));
+    let queued = client::submit(&addr, &first).expect("submit");
+
+    let refused = client::request_full(&addr, "POST", "/shutdown", "").expect("shutdown request");
+    assert_eq!(refused.status, 503, "{}", refused.body);
+    // Nothing changed: the job is still queued, and the server still
+    // takes work.
+    assert_eq!(
+        client::status(&addr, queued.id).expect("status").status,
+        "queued"
+    );
+    assert!(!client::healthz(&addr).expect("healthz"), "not draining");
+    let mut second = small_spec();
+    second.sample = Some((8, 22));
+    assert_eq!(
+        client::submit(&addr, &second).expect("submit").status,
+        "queued"
+    );
+
+    // Once the journal can be written, shutdown drains both.
+    std::fs::remove_dir(&drain).expect("clear the drain path");
+    assert_eq!(server.shutdown().expect("shutdown"), 2);
+    let journal = std::fs::read_to_string(&drain).expect("drain file");
+    let drained: Vec<CampaignSpec> = journal
+        .lines()
+        .map(|line| CampaignSpec::parse(line).expect("drained spec parses"))
+        .collect();
+    assert_eq!(drained, vec![first, second]);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// `GET /healthz` on a thread of its own, so a stalled server fails the
