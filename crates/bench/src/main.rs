@@ -100,10 +100,10 @@
 
 use bench::config_from_env;
 use correlation::experiments::{
-    fig3, fig4, fig5, fig6, fig7_from_parts, simtime, table1, ExperimentConfig, TemporalStudy,
+    fig3, fig4, fig5, fig6, fig7, simtime, table1, ExperimentConfig, TemporalStudy,
 };
 use correlation::extensions::{
-    bridging_study, eq1_ablation, inject_study, iss_baseline, latent_study, transient_study,
+    bridging_study, eq1_ablation, inject_study, iss_baseline, latent_study,
 };
 use fault_inject::wire::{kind_from_token, kind_to_token, target_from_token, target_to_token};
 use fault_inject::{
@@ -1375,11 +1375,7 @@ fn main() {
             print!("{}", TemporalStudy::from_fig5(&f5));
         }
         "fig6" => print!("{}", fig6(&config)),
-        "fig7" => {
-            let f5 = fig5(&config);
-            let f3 = fig3(&config);
-            print!("{}", fig7_from_parts(&f5, &f3));
-        }
+        "fig7" => print!("{}", fig7(&config)),
         "temporal" => {
             let f5 = fig5(&config);
             print!("{}", TemporalStudy::from_fig5(&f5));
@@ -1427,7 +1423,7 @@ fn main() {
         }
         // `repro transient` predates `repro inject` and is kept as an
         // alias for `repro inject --kind transient`.
-        "transient" => print!("{}", transient_study(&config)),
+        "transient" => print!("{}", inject_study(&config, FaultKind::TransientFlip, &[])),
         "bridging" => print!("{}", bridging_study(&config)),
         "latent" => print!("{}", latent_study(&config)),
         "issbaseline" => print!("{}", iss_baseline(&config)),
@@ -1436,7 +1432,7 @@ fn main() {
             print!("{}", eq1_ablation(&f5));
         }
         "extensions" => {
-            print!("{}", transient_study(&config));
+            print!("{}", inject_study(&config, FaultKind::TransientFlip, &[]));
             println!();
             print!("{}", bridging_study(&config));
             println!();
@@ -1462,7 +1458,7 @@ fn main() {
             println!();
             print!("{}", fig6(&config));
             println!();
-            print!("{}", fig7_from_parts(&f5, &f3));
+            print!("{}", fig7(&config));
             println!();
             print!("{}", simtime());
         }

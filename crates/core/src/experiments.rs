@@ -3,9 +3,10 @@
 //! `repro` binary renders as text; `Display` implementations produce the
 //! paper-style charts.
 
-use crate::model::{diversity_of, DiversityModel};
 use analysis::{grouped_bar_chart, scatter_plot, Series};
-use fault_inject::{Campaign, CampaignResult, Target};
+use fault_inject::{
+    Campaign, CampaignResult, CorrelationCell, CorrelationSpec, DomainFit, InjectionInstant, Target,
+};
 use leon3_model::{Leon3, Leon3Config};
 use rtl_sim::FaultKind;
 use sparc_iss::{Iss, IssConfig, RunOutcome};
@@ -47,7 +48,7 @@ impl ExperimentConfig {
 /// The paper injects at "a fixed injection instant"; all drivers place it
 /// 5% into the golden run, so open-line faults capture live (non-reset)
 /// values and behave distinctly from stuck-at-0.
-const INJECTION_FRACTION: f64 = 0.05;
+pub(crate) const INJECTION_FRACTION: f64 = 0.05;
 
 fn default_threads() -> usize {
     std::thread::available_parallelism().map_or(4, std::num::NonZero::get)
@@ -147,12 +148,15 @@ pub fn fig3(config: &ExperimentConfig) -> Fig3 {
         benches
             .iter()
             .map(|&b| {
-                let program = b.excerpt(0);
-                let diversity = diversity_of(&program);
+                let cell = CorrelationCell {
+                    benchmark: b,
+                    dataset: 0,
+                    excerpt: true,
+                };
                 // Excerpt runs are two orders of magnitude shorter than
                 // full benchmarks, so Fig. 3 affords a much denser sample —
                 // needed to resolve differences of a few percentage points.
-                let result = Campaign::new(program, Target::IntegerUnit)
+                let result = Campaign::new(cell.program(), Target::IntegerUnit)
                     .with_kinds(&[FaultKind::StuckAt1])
                     .with_sample(config.sample_per_campaign * 10, config.seed)
                     .with_injection_fraction(INJECTION_FRACTION)
@@ -160,7 +164,7 @@ pub fn fig3(config: &ExperimentConfig) -> Fig3 {
                 ExcerptPf {
                     benchmark: b,
                     pf: result.pf(FaultKind::StuckAt1),
-                    diversity,
+                    diversity: cell.measure().diversity as usize,
                 }
             })
             .collect()
@@ -273,8 +277,6 @@ pub struct BenchmarkPf {
     pub benchmark: Benchmark,
     /// Pf per fault model, indexed like [`FaultKind::ALL`].
     pub pf: [f64; 3],
-    /// The benchmark's diversity (for the Fig. 7 correlation).
-    pub diversity: usize,
     /// The full campaign result (latencies, per-unit breakdown).
     pub result: CampaignResult,
 }
@@ -297,7 +299,6 @@ pub fn fig_campaign(config: &ExperimentConfig, target: Target) -> FigCampaign {
         .chain(&Benchmark::TABLE1_SYNTHETIC)
         .map(|&b| {
             let program = b.program(&Params::default());
-            let diversity = diversity_of(&program);
             let result = Campaign::new(program, target)
                 .with_sample(config.sample_per_campaign, config.seed)
                 .with_injection_fraction(INJECTION_FRACTION)
@@ -310,7 +311,6 @@ pub fn fig_campaign(config: &ExperimentConfig, target: Target) -> FigCampaign {
             BenchmarkPf {
                 benchmark: b,
                 pf,
-                diversity,
                 result,
             }
         })
@@ -376,76 +376,47 @@ impl fmt::Display for FigCampaign {
 
 // ---------------------------------------------------------------- Figure 7
 
-/// One point of the Fig. 7 correlation plot.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Fig7Point {
-    /// The workload's label.
-    pub label: String,
-    /// Its instruction diversity.
-    pub diversity: f64,
-    /// Its measured Pf (stuck-at-1 at IU).
-    pub pf: f64,
-}
-
 /// The paper's Figure 7: Pf vs instruction diversity with the logarithmic
 /// fit.
 #[derive(Debug, Clone)]
 pub struct Fig7 {
-    /// All measured points (full benchmarks plus excerpts).
-    pub points: Vec<Fig7Point>,
-    /// The calibrated `Pf = a·ln(D) + b` model.
-    pub model: DiversityModel,
+    /// The sweep's stuck-at-1 @ IU slice: its calibration points and the
+    /// fitted `Pf = a·ln(D) + b` model.
+    pub fit: DomainFit,
 }
 
-/// Build Figure 7 from already-run parts: the IU campaign (Fig. 5) and
-/// the excerpt study (Fig. 3), exactly as the paper combines them.
+/// Run Figure 7 as one correlation sweep ([`CorrelationSpec::new`]): the
+/// six Table 1 kernels plus the ttsprk and rspeed excerpts (one per
+/// Fig. 3 subset), stuck-at-1 at IU nodes, sampled and injected like
+/// Figs. 3–6, each cell's diversity measured on the ISS.
 ///
 /// # Panics
 ///
-/// Panics if fewer than two distinct diversity values are available — the
-/// callers always pass six benchmarks plus six excerpts.
-pub fn fig7_from_parts(fig5: &FigCampaign, fig3: &Fig3) -> Fig7 {
-    assert_eq!(
-        fig5.target,
-        Target::IntegerUnit,
-        "Fig 7 correlates IU injections"
-    );
-    let sa1 = FaultKind::ALL
-        .iter()
-        .position(|&k| k == FaultKind::StuckAt1)
-        .expect("sa1");
-    let mut points: Vec<Fig7Point> = fig5
-        .rows
-        .iter()
-        .map(|r| Fig7Point {
-            label: r.benchmark.name().to_string(),
-            diversity: r.diversity as f64,
-            pf: r.pf[sa1],
-        })
-        .collect();
-    for e in fig3.subset_a.iter().chain(&fig3.subset_b) {
-        points.push(Fig7Point {
-            label: format!("{}-excerpt", e.benchmark.name()),
-            diversity: e.diversity as f64,
-            pf: e.pf,
-        });
-    }
-    let calibration: Vec<(f64, f64)> = points.iter().map(|p| (p.diversity, p.pf)).collect();
-    let model = DiversityModel::fit(&calibration).expect("enough distinct diversities");
-    Fig7 { points, model }
-}
-
-/// Run Figure 7 end to end (runs Fig. 5 and Fig. 3 internally).
+/// Panics if a campaign fails or the fit degenerates — neither happens on
+/// the fixed, statically valid spec.
 pub fn fig7(config: &ExperimentConfig) -> Fig7 {
-    let f5 = fig5(config);
-    let f3 = fig3(config);
-    fig7_from_parts(&f5, &f3)
+    let mut spec = CorrelationSpec::new();
+    spec.sample = Some((config.sample_per_campaign, config.seed));
+    spec.injection = InjectionInstant::Fraction(INJECTION_FRACTION);
+    let report = spec
+        .run_report(config.threads)
+        .expect("the Fig. 7 sweep is statically valid");
+    let fit = report
+        .domain(Target::IntegerUnit, FaultKind::StuckAt1)
+        .expect("the sweep fits stuck-at-1 @ IU")
+        .clone();
+    Fig7 { fit }
 }
 
 impl fmt::Display for Fig7 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let pts: Vec<(f64, f64)> = self.points.iter().map(|p| (p.diversity, p.pf)).collect();
-        let reg = self.model.regression();
+        let pts: Vec<(f64, f64)> = self
+            .fit
+            .points
+            .iter()
+            .map(|p| (p.diversity as f64, p.pf))
+            .collect();
+        let reg = self.fit.model.regression();
         let fit_fn = move |x: f64| reg.predict(x);
         write!(
             f,
@@ -458,7 +429,13 @@ impl fmt::Display for Fig7 {
                 60
             )
         )?;
-        writeln!(f, "fit: {}", self.model)
+        writeln!(
+            f,
+            "fit: Pf {}, n = {}, band ±{:.4}",
+            reg.equation(),
+            self.fit.model.n,
+            self.fit.model.band()
+        )
     }
 }
 

@@ -1,10 +1,10 @@
 //! Extension experiments beyond the paper's evaluation:
 //!
-//! 1. [`transient_study`] — the paper's declared *future work*: transient
-//!    bit-flips, showing that (unlike permanent faults) their propagation
-//!    probability depends strongly on the injection instant — which is
-//!    exactly why the paper could drop `time` from `Pf = f(Is, inputs,
-//!    time)` only for permanent models.
+//! 1. [`inject_study`] — the paper's declared *future work*: transient
+//!    bit-flips (and the other time-varying models), showing that (unlike
+//!    permanent faults) their propagation probability depends strongly on
+//!    the injection instant — which is exactly why the paper could drop
+//!    `time` from `Pf = f(Is, inputs, time)` only for permanent models.
 //! 2. [`iss_baseline`] — the "typical ISS-based fault injection" of the
 //!    paper's introduction (register-file injection) compared against RTL
 //!    injection, quantifying why it "cannot be used to estimate failure
@@ -12,13 +12,13 @@
 //! 3. [`eq1_ablation`] — the paper's Eq. 1 (`Pf = Σ α_m · Pf_m`) evaluated
 //!    as a predictor against the single global-diversity model.
 
-use crate::experiments::{ExperimentConfig, FigCampaign};
-use crate::model::{area_weights, diversity_of, unit_diversity_of, weighted_pf, DiversityModel};
-use analysis::pearson;
+use crate::experiments::{ExperimentConfig, FigCampaign, INJECTION_FRACTION};
+use crate::model::{area_weights, weighted_pf};
+use analysis::{pearson, CorrelationPoint, FittedModel};
 use fault_inject::wire::kind_to_token;
 use fault_inject::{
-    arch_pf, bridge_pf, AttackTarget, BridgingCampaign, Campaign, ExecOptions, InjectionInstant,
-    IssCampaign, Target,
+    arch_pf, bridge_pf, AttackTarget, BridgingCampaign, Campaign, CellMeasurement, CorrelationCell,
+    ExecOptions, InjectionInstant, IssCampaign, Target,
 };
 use leon3_model::{Leon3, Leon3Config};
 use rtl_sim::BridgeKind;
@@ -28,64 +28,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use workloads::{Benchmark, Params};
 
-// --------------------------------------------------------------- Transient
-
-/// Pf of permanent vs transient faults across injection instants.
-#[derive(Debug, Clone)]
-pub struct TransientStudy {
-    /// Injection instants as fractions of the golden run.
-    pub fractions: Vec<f64>,
-    /// Pf of stuck-at-1 at each instant (expected: flat).
-    pub permanent_pf: Vec<f64>,
-    /// Pf of transient bit-flips at each instant (expected: varying and
-    /// much lower).
-    pub transient_pf: Vec<f64>,
-    /// Jobs that fell back to full re-execution across the whole sweep —
-    /// zero by construction on the checkpoint-tree engine.
-    pub full_reexecutions: usize,
-    /// Checkpoints the sweep's pool held.
-    pub checkpoints_taken: usize,
-}
-
-impl TransientStudy {
-    /// Spread (max − min) of a Pf series in percentage points.
-    fn spread_pp(series: &[f64]) -> f64 {
-        let max = series.iter().copied().fold(0.0, f64::max);
-        let min = series.iter().copied().fold(1.0, f64::min);
-        (max - min) * 100.0
-    }
-
-    /// Spread of the permanent series (pp).
-    pub fn permanent_spread_pp(&self) -> f64 {
-        Self::spread_pp(&self.permanent_pf)
-    }
-
-    /// Spread of the transient series (pp).
-    pub fn transient_spread_pp(&self) -> f64 {
-        Self::spread_pp(&self.transient_pf)
-    }
-}
-
-/// Run the transient study on `rspeed`: the same fault list injected at
-/// a dense grid of instants, once with stuck-at-1 and once with
-/// transient flips.
-///
-/// All instants run as **one** multi-instant campaign sharing a single
-/// golden run and one checkpoint pool; every instant forks from (or
-/// replays a bounded gap behind) its nearest pool checkpoint, so the
-/// sweep completes with **zero** full re-executions. Records are
-/// engine-independent, so the series is identical to one dedicated
-/// campaign per instant.
-pub fn transient_study(config: &ExperimentConfig) -> TransientStudy {
-    let study = inject_study(config, FaultKind::TransientFlip, &[]);
-    TransientStudy {
-        fractions: study.fractions,
-        permanent_pf: study.reference_pf,
-        transient_pf: study.kind_pf,
-        full_reexecutions: study.full_reexecutions,
-        checkpoints_taken: study.checkpoints_taken,
-    }
-}
+// --------------------------------------------------------------- Injection
 
 /// Pf of an arbitrary (possibly time-varying, possibly targeted) fault
 /// model across injection instants, against the permanent stuck-at-1
@@ -112,11 +55,18 @@ pub struct InjectStudy {
     pub checkpoints_taken: usize,
 }
 
+/// Spread (max − min) of a Pf series in percentage points.
+fn spread_pp(series: &[f64]) -> f64 {
+    let max = series.iter().copied().fold(0.0, f64::max);
+    let min = series.iter().copied().fold(1.0, f64::min);
+    (max - min) * 100.0
+}
+
 impl InjectStudy {
     /// Spread (max − min) of the studied kind's Pf series in percentage
     /// points — the instant-dependence the permanent reference lacks.
     pub fn kind_spread_pp(&self) -> f64 {
-        TransientStudy::spread_pp(&self.kind_pf)
+        spread_pp(&self.kind_pf)
     }
 }
 
@@ -126,9 +76,10 @@ impl InjectStudy {
 /// the universe to the named attack-surface nets (branch condition,
 /// status register, program counter), the InjectV-style campaign shape.
 ///
-/// Like [`transient_study`], all instants run as **one** multi-instant
-/// campaign over a single checkpoint pool, so the sweep completes with
-/// zero full re-executions.
+/// All instants run as **one** multi-instant campaign sharing a single
+/// golden run and one checkpoint pool, so the sweep completes with zero
+/// full re-executions. Records are engine-independent, so each series is
+/// identical to one dedicated campaign per instant.
 ///
 /// # Panics
 ///
@@ -214,43 +165,9 @@ impl fmt::Display for InjectStudy {
         writeln!(
             f,
             "spread: stuck-at-1 {:.2} pp, {} {:.2} pp",
-            TransientStudy::spread_pp(&self.reference_pf),
+            spread_pp(&self.reference_pf),
             self.kind.name(),
             self.kind_spread_pp()
-        )?;
-        writeln!(
-            f,
-            "engine: {} pool checkpoints, {} full re-executions",
-            self.checkpoints_taken, self.full_reexecutions
-        )
-    }
-}
-
-impl fmt::Display for TransientStudy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "== Extension: permanent vs transient across injection instants =="
-        )?;
-        writeln!(
-            f,
-            "{:>10} {:>12} {:>12}",
-            "instant", "stuck-at-1", "transient"
-        )?;
-        for (i, fraction) in self.fractions.iter().enumerate() {
-            writeln!(
-                f,
-                "{:>9.0}% {:>11.2}% {:>11.2}%",
-                fraction * 100.0,
-                self.permanent_pf[i] * 100.0,
-                self.transient_pf[i] * 100.0
-            )?;
-        }
-        writeln!(
-            f,
-            "spread: permanent {:.2} pp, transient {:.2} pp",
-            self.permanent_spread_pp(),
-            self.transient_spread_pp()
         )?;
         writeln!(
             f,
@@ -285,7 +202,7 @@ pub fn bridging_study(config: &ExperimentConfig) -> BridgingStudy {
     let reference = Campaign::new(program, Target::IntegerUnit)
         .with_kinds(&[FaultKind::StuckAt1])
         .with_sample(config.sample_per_campaign, config.seed)
-        .with_injection_fraction(0.05)
+        .with_injection_fraction(INJECTION_FRACTION)
         .run(config.threads);
     BridgingStudy {
         wired_and_pf: bridge_pf(&records, Some(BridgeKind::WiredAnd)),
@@ -330,7 +247,7 @@ pub fn latent_study(config: &ExperimentConfig) -> LatentStudy {
     let base = Campaign::new(program, Target::IntegerUnit)
         .with_kinds(&[FaultKind::StuckAt1])
         .with_sample(config.sample_per_campaign, config.seed)
-        .with_injection_fraction(0.05);
+        .with_injection_fraction(INJECTION_FRACTION);
     let single = base.run(config.threads);
     let dual = base
         .execute(
@@ -399,7 +316,7 @@ pub fn iss_baseline(config: &ExperimentConfig) -> IssBaseline {
             let rtl = Campaign::new(program, Target::IntegerUnit)
                 .with_kinds(&[FaultKind::StuckAt1])
                 .with_sample(config.sample_per_campaign, config.seed)
-                .with_injection_fraction(0.05)
+                .with_injection_fraction(INJECTION_FRACTION)
                 .run(config.threads);
             (bench, arch_pf(&iss_records), rtl.pf(FaultKind::StuckAt1))
         })
@@ -475,60 +392,78 @@ pub fn eq1_ablation(fig5: &FigCampaign) -> Eq1Ablation {
     let cpu = Leon3::new(Leon3Config::default());
     let alphas = area_weights(&cpu, sparc_isa::Unit::is_iu);
 
-    // Per-benchmark measurements.
-    let programs: Vec<_> = fig5
+    // Per-benchmark measurements: one ISS run gives both D and D_m.
+    let measured: Vec<_> = fig5
         .rows
         .iter()
         .map(|r| {
-            let program = r.benchmark.program(&Params::default());
-            let d = diversity_of(&program) as f64;
-            let dm = unit_diversity_of(&program);
+            let cell = CorrelationCell {
+                benchmark: r.benchmark,
+                dataset: 0,
+                excerpt: false,
+            };
             let pfm = r.result.pf_per_unit(FaultKind::StuckAt1);
-            (r.benchmark, d, dm, r.pf[sa1], pfm)
+            (r.benchmark, cell.measure(), r.pf[sa1], pfm)
         })
         .collect();
+    // D_m of one measurement (zero for a unit it never exercised).
+    let unit_d = |m: &CellMeasurement, unit: Unit| {
+        m.unit_diversity
+            .iter()
+            .find(|(name, _)| name == unit.name())
+            .map_or(0.0, |&(_, d)| d as f64)
+    };
 
-    let rows = programs
+    let rows = measured
         .iter()
         .enumerate()
-        .map(|(held, &(bench, d, ref dm, measured, _))| {
+        .map(|(held, (bench, m, pf, _))| {
+            let others = || {
+                measured
+                    .iter()
+                    .enumerate()
+                    .filter(move |&(i, _)| i != held)
+                    .map(|(_, x)| x)
+            };
             // Global model on the remaining benchmarks.
-            let global_points: Vec<(f64, f64)> = programs
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| i != held)
-                .map(|(_, &(_, d, _, pf, _))| (d, pf))
+            let global_points: Vec<CorrelationPoint> = others()
+                .map(|(_, m, pf, _)| CorrelationPoint {
+                    label: m.label.clone(),
+                    diversity: m.diversity as f64,
+                    pf: *pf,
+                })
                 .collect();
-            let global = DiversityModel::fit(&global_points).expect("fit global");
-            let global_pred = global.predict(d);
+            let global = FittedModel::fit(&global_points).expect("fit global");
+            let global_pred = global.predict(m.diversity as f64);
 
             // Eq. 1: one model per unit, on (D_m, Pf_m) of the remaining
             // benchmarks; units whose D_m is constant fall back to the
             // mean Pf_m.
             let mut per_unit_pred: BTreeMap<Unit, f64> = BTreeMap::new();
             for unit in Unit::IU {
-                let pts: Vec<(f64, f64)> = programs
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, _)| i != held)
-                    .filter_map(|(_, (_, _, dms, _, pfms))| {
-                        let dm = *dms.get(&unit)? as f64;
+                let pts: Vec<CorrelationPoint> = others()
+                    .filter_map(|(_, m, _, pfms)| {
+                        let dm = unit_d(m, unit);
                         let pfm = *pfms.get(&unit)?;
-                        (dm > 0.0).then_some((dm, pfm))
+                        (dm > 0.0).then(|| CorrelationPoint {
+                            label: m.label.clone(),
+                            diversity: dm,
+                            pf: pfm,
+                        })
                     })
                     .collect();
                 if pts.is_empty() {
                     continue;
                 }
-                let here = dm.get(&unit).copied().unwrap_or(0) as f64;
-                let prediction = match DiversityModel::fit(&pts) {
+                let here = unit_d(m, unit);
+                let prediction = match FittedModel::fit(&pts) {
                     Ok(model) if here > 0.0 => model.predict(here),
-                    _ => pts.iter().map(|p| p.1).sum::<f64>() / pts.len() as f64,
+                    _ => pts.iter().map(|p| p.pf).sum::<f64>() / pts.len() as f64,
                 };
                 per_unit_pred.insert(unit, prediction);
             }
             let eq1_pred = weighted_pf(&alphas, &per_unit_pred).clamp(0.0, 1.0);
-            (bench, measured, global_pred, eq1_pred)
+            (*bench, *pf, global_pred, eq1_pred)
         })
         .collect();
     Eq1Ablation { rows }
@@ -583,10 +518,10 @@ mod tests {
             sample_per_campaign: 60,
             ..tiny()
         };
-        let study = transient_study(&config);
+        let study = inject_study(&config, FaultKind::TransientFlip, &[]);
         // Transient flips propagate far less often than permanent faults
         // at every instant.
-        for (p, t) in study.permanent_pf.iter().zip(&study.transient_pf) {
+        for (p, t) in study.reference_pf.iter().zip(&study.kind_pf) {
             assert!(t < p, "transient {t} >= permanent {p}");
         }
         let _ = study.to_string();
@@ -631,6 +566,23 @@ mod tests {
             assert!((0.0..=1.0).contains(&rtl));
         }
         let _ = baseline.to_string();
+    }
+
+    #[test]
+    fn eq1_rows_match_the_recorded_sample() {
+        // An FNV-1a digest over the bits of every row value, recorded from
+        // this sample; any change to a measured or predicted value changes
+        // it.
+        let ablation = eq1_ablation(&fig_campaign(&tiny(), Target::IntegerUnit));
+        let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+        for &(_, measured, global, eq1) in &ablation.rows {
+            for value in [measured, global, eq1] {
+                for byte in value.to_bits().to_le_bytes() {
+                    digest = (digest ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        }
+        assert_eq!(digest, 0x9e87_55ed_975b_b9bc, "{digest:#018x}");
     }
 
     #[test]

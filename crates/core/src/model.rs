@@ -1,73 +1,8 @@
-//! The diversity-based failure-probability model.
+//! The paper's Eq. 1: per-unit area weights and their combination.
 
-use analysis::{log_fit, FitError, Regression};
 use leon3_model::Leon3;
-use sparc_asm::Program;
 use sparc_isa::Unit;
-use sparc_iss::{Iss, IssConfig, RunOutcome};
 use std::collections::BTreeMap;
-use std::fmt;
-
-/// A model-construction failure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ModelError {
-    /// The underlying regression failed.
-    Fit(FitError),
-    /// The calibration workload did not halt on the ISS.
-    WorkloadDidNotHalt,
-}
-
-impl fmt::Display for ModelError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ModelError::Fit(e) => write!(f, "calibration fit failed: {e}"),
-            ModelError::WorkloadDidNotHalt => write!(f, "calibration workload did not halt"),
-        }
-    }
-}
-
-impl std::error::Error for ModelError {}
-
-impl From<FitError> for ModelError {
-    fn from(e: FitError) -> Self {
-        ModelError::Fit(e)
-    }
-}
-
-/// Run a program on the ISS and return its instruction diversity.
-///
-/// # Panics
-///
-/// Panics if the program does not halt within a generous budget.
-pub fn diversity_of(program: &Program) -> usize {
-    let mut iss = Iss::new(IssConfig::default());
-    iss.load(program);
-    let outcome = iss.run(200_000_000);
-    assert!(
-        matches!(outcome, RunOutcome::Halted { .. }),
-        "workload did not halt: {outcome:?}"
-    );
-    iss.stats().diversity()
-}
-
-/// Run a program on the ISS and return its per-unit diversity `D_m`.
-///
-/// # Panics
-///
-/// Panics if the program does not halt within a generous budget.
-pub fn unit_diversity_of(program: &Program) -> BTreeMap<Unit, usize> {
-    let mut iss = Iss::new(IssConfig::default());
-    iss.load(program);
-    let outcome = iss.run(200_000_000);
-    assert!(
-        matches!(outcome, RunOutcome::Halted { .. }),
-        "workload did not halt: {outcome:?}"
-    );
-    Unit::ALL
-        .into_iter()
-        .map(|u| (u, iss.stats().unit_diversity(u)))
-        .collect()
-}
 
 /// The `α_m` weights of the paper's Eq. 1: each unit's fraction of the
 /// processor's injectable nodes (the paper's area proxy), over the units
@@ -107,94 +42,10 @@ pub fn weighted_pf(weights: &BTreeMap<Unit, f64>, per_unit_pf: &BTreeMap<Unit, f
         .sum()
 }
 
-/// The calibrated diversity model `Pf = a·ln(D) + b` (the paper's Fig. 7
-/// fit, reported there as `a = 0.0838`, `b = −0.0191`, `R² = 0.9246`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DiversityModel {
-    fit: Regression,
-}
-
-impl DiversityModel {
-    /// Fit the model on `(diversity, measured Pf)` calibration points.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::Fit`] if there are fewer than two points or
-    /// the diversities are degenerate.
-    pub fn fit(points: &[(f64, f64)]) -> Result<DiversityModel, ModelError> {
-        let xs: Vec<f64> = points.iter().map(|p| p.0).collect();
-        let ys: Vec<f64> = points.iter().map(|p| p.1).collect();
-        Ok(DiversityModel {
-            fit: log_fit(&xs, &ys)?,
-        })
-    }
-
-    /// Predicted `Pf` for a workload with diversity `d`, clamped to
-    /// `[0, 1]`.
-    pub fn predict(&self, d: f64) -> f64 {
-        self.fit.predict(d).clamp(0.0, 1.0)
-    }
-
-    /// Predicted `Pf` for a program (diversity measured on the ISS).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the program does not halt (see [`diversity_of`]).
-    pub fn predict_program(&self, program: &Program) -> f64 {
-        self.predict(diversity_of(program) as f64)
-    }
-
-    /// Goodness of fit on the calibration points.
-    pub fn r_squared(&self) -> f64 {
-        self.fit.r_squared
-    }
-
-    /// The underlying regression.
-    pub fn regression(&self) -> Regression {
-        self.fit
-    }
-
-    /// Mean absolute prediction error over a validation set of
-    /// `(diversity, measured Pf)` points.
-    pub fn mean_absolute_error(&self, points: &[(f64, f64)]) -> f64 {
-        if points.is_empty() {
-            return 0.0;
-        }
-        points
-            .iter()
-            .map(|&(d, pf)| (self.predict(d) - pf).abs())
-            .sum::<f64>()
-            / points.len() as f64
-    }
-}
-
-impl fmt::Display for DiversityModel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Pf {}", self.fit.equation())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use leon3_model::Leon3Config;
-    use sparc_asm::assemble;
-
-    #[test]
-    fn diversity_of_small_program() {
-        let p = assemble("_start: mov 1, %o0\n add %o0, 1, %o0\n halt\n").unwrap();
-        // or, add, ticc
-        assert_eq!(diversity_of(&p), 3);
-    }
-
-    #[test]
-    fn unit_diversity_narrows() {
-        let p = assemble("_start: mov 1, %o0\n sll %o0, 2, %o0\n halt\n").unwrap();
-        let d = unit_diversity_of(&p);
-        assert_eq!(d[&Unit::Shift], 1);
-        assert_eq!(d[&Unit::MulDiv], 0);
-        assert_eq!(d[&Unit::Fetch], 3);
-    }
 
     #[test]
     fn area_weights_sum_to_one() {
@@ -219,31 +70,5 @@ mod tests {
                 .collect();
         let combined = weighted_pf(&weights, &pf);
         assert!((combined - (0.25 * 0.4 + 0.75 * 0.1)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn model_predicts_within_bounds() {
-        let points = [(8.0, 0.1), (20.0, 0.2), (47.0, 0.3)];
-        let model = DiversityModel::fit(&points).unwrap();
-        assert!(model.predict(1.0) >= 0.0);
-        assert!(model.predict(1e9) <= 1.0);
-        let mae = model.mean_absolute_error(&points);
-        assert!(mae < 0.05, "{mae}");
-    }
-
-    #[test]
-    fn model_fit_requires_points() {
-        assert!(matches!(
-            DiversityModel::fit(&[(8.0, 0.1)]),
-            Err(ModelError::Fit(FitError::NotEnoughData))
-        ));
-    }
-
-    #[test]
-    fn model_display() {
-        let model = DiversityModel::fit(&[(8.0, 0.1), (20.0, 0.2), (47.0, 0.3)]).unwrap();
-        let text = model.to_string();
-        assert!(text.starts_with("Pf y ="), "{text}");
-        assert!(text.contains("ln(x)"));
     }
 }

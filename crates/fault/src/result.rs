@@ -135,10 +135,12 @@ pub struct ModelSummary {
     /// Engine anomalies (worker panics) among the injections — excluded
     /// from both the failure count and the `Pf` denominator.
     pub anomalies: usize,
-    /// Maximum propagation latency (µs at the model clock), if any
-    /// latency-bearing failure occurred.
+    /// Maximum propagation latency (µs at the model clock) over the
+    /// failures that reached the lockstep boundary (divergences and
+    /// error-mode stops), if any did. A hang's latency is where its budget
+    /// or deadline ran out, not a propagation time, so hangs are left out.
     pub max_latency_us: Option<f64>,
-    /// Mean propagation latency (µs) over latency-bearing failures.
+    /// Mean propagation latency (µs) over the same failures.
     pub mean_latency_us: Option<f64>,
 }
 
@@ -512,11 +514,7 @@ impl CampaignResult {
             .iter()
             .filter(|r| matches!(r.outcome, FaultOutcome::EngineAnomaly { .. }))
             .count();
-        let latencies: Vec<f64> = records
-            .iter()
-            .filter_map(|r| r.outcome.latency_cycles())
-            .map(cycles_to_us)
-            .collect();
+        let latencies = propagation_latencies_us(records.iter().copied());
         ModelSummary {
             injections: records.len(),
             failures,
@@ -635,19 +633,15 @@ impl CampaignResult {
         out
     }
 
-    /// Histogram of propagation latencies (µs) for one fault model, or
-    /// `None` when fewer than two distinct latencies were observed.
+    /// Histogram of propagation latencies (µs) for one fault model, over
+    /// the same failures as [`ModelSummary::max_latency_us`], or `None`
+    /// when fewer than two distinct latencies were observed.
     pub fn latency_histogram(
         &self,
         kind: FaultKind,
         buckets: usize,
     ) -> Option<analysis::Histogram> {
-        let latencies: Vec<f64> = self
-            .records_for(kind)
-            .filter_map(|r| r.outcome.latency_cycles())
-            .map(cycles_to_us)
-            .collect();
-        analysis::Histogram::auto(&latencies, buckets)
+        analysis::Histogram::auto(&propagation_latencies_us(self.records_for(kind)), buckets)
     }
 
     /// Outcome counts per category for one fault model:
@@ -745,6 +739,16 @@ impl fmt::Display for CampaignResult {
     }
 }
 
+/// Latencies (µs) of the failures among `records` that reached the
+/// lockstep boundary: divergences and error-mode stops, not hangs.
+fn propagation_latencies_us<'a>(records: impl Iterator<Item = &'a FaultRecord>) -> Vec<f64> {
+    records
+        .filter(|r| !matches!(r.outcome, FaultOutcome::Hang { .. }))
+        .filter_map(|r| r.outcome.latency_cycles())
+        .map(cycles_to_us)
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -794,10 +798,43 @@ mod tests {
         assert_eq!(s.failures, 3);
         assert_eq!(s.hangs, 1);
         assert!((s.pf() - 0.75).abs() < 1e-12);
-        // 160 cycles at 80 MHz = 2 µs; the hang's 120 cycles now carry a
-        // latency too, keeping the mean over {80, 120, 160} at 1.5 µs.
+        // 160 cycles at 80 MHz = 2 µs; the latencies are those of the
+        // divergence and the error-mode stop, {80, 160}, mean 1.5 µs.
         assert!((s.max_latency_us.unwrap() - 2.0).abs() < 1e-9);
         assert!((s.mean_latency_us.unwrap() - 1.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn hangs_do_not_set_the_propagation_latency() {
+        // The hang's latency is where its budget ran out, far beyond any
+        // propagation; it still counts as a failure but not as a latency.
+        let result = CampaignResult::new(vec![
+            record(
+                FaultKind::StuckAt1,
+                FaultOutcome::Failure {
+                    divergence: 0,
+                    latency_cycles: 80,
+                },
+            ),
+            record(
+                FaultKind::StuckAt1,
+                FaultOutcome::ErrorModeStop {
+                    latency_cycles: 160,
+                },
+            ),
+            record(
+                FaultKind::StuckAt1,
+                FaultOutcome::Hang {
+                    latency_cycles: 80_000,
+                },
+            ),
+        ]);
+        let s = result.summary(FaultKind::StuckAt1);
+        assert_eq!((s.failures, s.hangs), (3, 1));
+        assert!((s.max_latency_us.unwrap() - 2.0).abs() < 1e-9);
+        assert!((s.mean_latency_us.unwrap() - 1.5).abs() < 1e-9);
+        let h = result.latency_histogram(FaultKind::StuckAt1, 4).unwrap();
+        assert_eq!(h.count(), 2);
     }
 
     #[test]

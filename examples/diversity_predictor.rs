@@ -10,18 +10,34 @@
 //! cargo run --release --example diversity_predictor [sample]
 //! ```
 
-use correlation::{diversity_of, DiversityModel};
-use fault_inject::{Campaign, Target};
+use analysis::{CorrelationPoint, FittedModel};
+use fault_inject::{Campaign, CorrelationCell, Target};
 use rtl_sim::FaultKind;
-use workloads::{Benchmark, Params};
+use workloads::Benchmark;
 
-fn measure_pf(bench: Benchmark, sample: usize, threads: usize) -> f64 {
-    let program = bench.program(&Params::default());
-    Campaign::new(program, Target::IntegerUnit)
+/// One workload on dataset 0: the full kernel, or its init-phase excerpt.
+fn cell(benchmark: Benchmark, excerpt: bool) -> CorrelationCell {
+    CorrelationCell {
+        benchmark,
+        dataset: 0,
+        excerpt,
+    }
+}
+
+/// The cell's diversity `D` on the ISS and its measured RTL `Pf`
+/// (stuck-at-1 at IU nodes).
+fn measure(cell: CorrelationCell, sample: usize, threads: usize) -> CorrelationPoint {
+    let measurement = cell.measure();
+    let pf = Campaign::new(cell.program(), Target::IntegerUnit)
         .with_kinds(&[FaultKind::StuckAt1])
         .with_sample(sample, 0xCA11B)
         .run(threads)
-        .pf(FaultKind::StuckAt1)
+        .pf(FaultKind::StuckAt1);
+    CorrelationPoint {
+        label: measurement.label,
+        diversity: measurement.diversity as f64,
+        pf,
+    }
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -46,45 +62,41 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let mut points = Vec::new();
     for bench in calibration_set {
-        let program = bench.program(&Params::default());
-        let d = diversity_of(&program) as f64;
-        let pf = measure_pf(bench, sample, threads);
-        println!("  {bench:10} D = {d:2}  measured Pf = {:5.2}%", pf * 100.0);
-        points.push((d, pf));
+        let p = measure(cell(bench, false), sample, threads);
+        println!(
+            "  {bench:10} D = {:2}  measured Pf = {:5.2}%",
+            p.diversity,
+            p.pf * 100.0
+        );
+        points.push(p);
     }
     // Excerpts widen the diversity range at the low end.
-    for bench in Benchmark::EXCERPT_SUBSET_A
+    for &bench in Benchmark::EXCERPT_SUBSET_A
         .iter()
         .chain(&Benchmark::EXCERPT_SUBSET_B)
     {
-        let program = bench.excerpt(0);
-        let d = diversity_of(&program) as f64;
-        let pf = Campaign::new(program, Target::IntegerUnit)
-            .with_kinds(&[FaultKind::StuckAt1])
-            .with_sample(sample, 0xCA11B)
-            .run(threads)
-            .pf(FaultKind::StuckAt1);
+        let p = measure(cell(bench, true), sample, threads);
         println!(
-            "  {bench:10} D = {d:2}  measured Pf = {:5.2}% (excerpt)",
-            pf * 100.0
+            "  {bench:10} D = {:2}  measured Pf = {:5.2}% (excerpt)",
+            p.diversity,
+            p.pf * 100.0
         );
-        points.push((d, pf));
+        points.push(p);
     }
 
-    let model = DiversityModel::fit(&points)?;
-    println!("\ncalibrated model: {model}");
+    let model = FittedModel::fit(&points)?;
+    println!("\ncalibrated model: Pf {}", model.regression().equation());
 
-    // Predict the held-out workload from the ISS alone…
-    let program = held_out.program(&Params::default());
-    let d = diversity_of(&program) as f64;
-    let predicted = model.predict(d);
-    // …then verify against an actual RTL campaign.
-    let measured = measure_pf(held_out, sample, threads);
+    // Predict the held-out workload from its ISS diversity alone, then
+    // check the prediction against an actual RTL campaign.
+    let held = measure(cell(held_out, false), sample, threads);
+    let predicted = model.predict(held.diversity);
     println!(
-        "\nheld-out {held_out}: D = {d}, predicted Pf = {:.2}%, RTL-measured Pf = {:.2}% ({:+.2} pp)",
+        "\nheld-out {held_out}: D = {}, predicted Pf = {:.2}%, RTL-measured Pf = {:.2}% ({:+.2} pp)",
+        held.diversity,
         predicted * 100.0,
-        measured * 100.0,
-        (predicted - measured) * 100.0
+        held.pf * 100.0,
+        (predicted - held.pf) * 100.0
     );
     Ok(())
 }

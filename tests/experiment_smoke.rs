@@ -1,9 +1,7 @@
 //! End-to-end smoke tests of the experiment drivers at tiny sample sizes:
 //! structure, value ranges and the headline qualitative claims.
 
-use correlation::experiments::{
-    fig4, fig7_from_parts, fig_campaign, table1, ExperimentConfig, TemporalStudy,
-};
+use correlation::experiments::{fig4, fig7, fig_campaign, table1, ExperimentConfig, TemporalStudy};
 use fault_inject::Target;
 use rtl_sim::FaultKind;
 
@@ -84,11 +82,21 @@ fn fig5_fig7_correlation_shape() {
         temporal.max_delta_pp()
     );
 
-    // Fig 7 from the same campaign plus a tiny excerpt study.
-    let f3 = correlation::experiments::fig3(&tiny());
-    let f7 = fig7_from_parts(&f5, &f3);
-    assert_eq!(f7.points.len(), 12);
-    let reg = f7.model.regression();
+    // Fig 7 at the same config: the six kernels plus two excerpts. Sites
+    // do not depend on the kind list, so each kernel's stuck-at-1 Pf is
+    // exactly its Fig. 5 bar.
+    let f7 = fig7(&config);
+    assert_eq!(f7.fit.points.len(), 8);
+    for row in &f5.rows {
+        let point = f7
+            .fit
+            .points
+            .iter()
+            .find(|p| p.label == row.benchmark.name())
+            .unwrap_or_else(|| panic!("{} missing from Fig 7", row.benchmark));
+        assert_eq!(point.pf, row.pf[0], "{}", row.benchmark);
+    }
+    let reg = f7.fit.model.regression();
     assert!(reg.logarithmic);
     assert!(
         reg.slope > 0.0,
