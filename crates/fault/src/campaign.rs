@@ -8,14 +8,14 @@
 //! (site, kind, instant) job is billed as restored from the nearest
 //! ancestor checkpoint at or before its own injection boundary, so no job
 //! ever falls back to full re-execution. A dense instant sweep thins its
-//! per-boundary checkpoints to a bounded pool (trading bounded replay for
-//! bounded memory). The jobs themselves ride a **golden-shadow sweep**:
-//! a fault acts only through reads, so each worker steps one golden run
-//! with every job's faults armed as shadow faults, and a job runs on a
-//! model of its own only from the sweep window in which its fault first
-//! changes a read. A transient or burst fault changes a stored value when
-//! it activates, so its job runs on its own from its pool ancestor. Jobs
-//! still on the sweep when the golden run halts are `NoEffect` without a
+//! per-boundary checkpoints to a bounded pool (trading a longer billed
+//! replay for bounded memory). The jobs themselves ride a **golden-shadow
+//! sweep**, whatever their fault model: a fault acts only through reads or
+//! by flipping a stored value, so each worker steps one golden run with
+//! every job's faults armed as shadow faults, and a job runs on a model of
+//! its own only from the sweep window in which its fault first changes a
+//! read or, for a transient or burst, flips a bit. Jobs still on the
+//! sweep when the golden run halts are `NoEffect` without a
 //! run of their own, a job's own run that proves its faulty machine
 //! loops exactly skips to its hang budget (see [`observe`]), and one that
 //! is back in the golden state at the end of its window, apart from the
@@ -88,8 +88,9 @@ use std::time::{Duration, Instant};
 /// pool. A dense instant sweep (or a tight [`Campaign::with_checkpoint_stride`])
 /// is thinned evenly to this cap — always keeping the reset state and the
 /// deepest boundary — so pool memory stays bounded; jobs whose exact
-/// boundary was thinned away replay the bounded gap from the nearest
-/// surviving ancestor checkpoint instead.
+/// boundary was thinned away are billed a replay of the bounded gap from
+/// the nearest surviving ancestor checkpoint instead. The host restores
+/// only each worker's sweep start, the shallowest ancestor of its jobs.
 pub const MAX_POOL_CHECKPOINTS: usize = 32;
 
 /// Cycles the campaign engine has stepped on the host in this process.
@@ -98,9 +99,9 @@ static HOST_CYCLES: AtomicU64 = AtomicU64::new(0);
 /// Cycles the campaign engine has stepped on the host since the process
 /// started, over every campaign on every thread: each checkpoint pool's
 /// prefix, each golden-shadow sweep window's first pass and re-step, each
-/// job's own run from its window start or pool ancestor, and each full
-/// re-execution run. Golden capture is not counted, and neither are the
-/// cycles a closed hang loop skips or a re-joined job rides on the sweep.
+/// job's own run from its window start, and each full re-execution run.
+/// Golden capture is not counted, and neither are the cycles a closed
+/// hang loop skips or a re-joined job rides on the sweep.
 /// Read it before and after a campaign for that campaign's count while
 /// nothing else runs.
 ///
@@ -306,15 +307,15 @@ pub enum Execution {
     /// periodic grid). Each worker then restores the shallowest checkpoint
     /// its jobs need and steps the golden run with every job's faults
     /// armed as shadows; a job runs on its own only from the sweep window
-    /// in which its fault first changes a read. Transient and burst jobs
-    /// run on their own from their pool ancestor, an own run whose
-    /// faulty machine loops exactly skips to its hang budget, and an own
-    /// run that is back in the golden state at the end of its window,
-    /// apart from the clock, re-joins the sweep carrying its cycle offset
-    /// (not under a watchdog or a deadline). Jobs whose
-    /// nets the golden run never reads from the injection instant on are
-    /// classified without simulation. Each job is billed as a fork from
-    /// its own nearest ancestor checkpoint, and there is no
+    /// in which its fault first changes a read or, for a transient or
+    /// burst, flips a bit. An own run whose faulty machine loops exactly
+    /// skips to its hang budget, and an own run that is back in the
+    /// golden state at the end of its window, apart from the clock and
+    /// with no flip left to land, re-joins the sweep carrying its fault
+    /// state and cycle offset (not under a watchdog or a deadline). Jobs
+    /// whose nets the golden run never reads from the injection instant on
+    /// are classified without simulation. Each job is billed as a fork
+    /// from its own nearest ancestor checkpoint, and there is no
     /// full-re-execution fallback: the reset-state checkpoint is an
     /// ancestor of every instant.
     #[default]
@@ -511,13 +512,13 @@ impl Campaign {
     /// What the grid changes is the pool: its memory, and, once the
     /// candidates exceed [`MAX_POOL_CHECKPOINTS`], which of them survive
     /// the thinning. Each job is billed from its nearest surviving
-    /// ancestor, and a transient or burst job also runs from there, so
-    /// the replay gap before its injection boundary is stepped too. Every
-    /// other job rides the golden-shadow sweep, which steps the same
-    /// cycles whatever the pool. A requested boundary always has a
-    /// checkpoint of its own unless the pool is thinned, so the grid never
-    /// shortens a replay below the cap and can lengthen one above it, by
-    /// taking slots from injection boundaries.
+    /// ancestor, but every job rides the golden-shadow sweep, which a
+    /// worker starts from the shallowest ancestor of its jobs: the grid
+    /// moves the host's work only where thinning moves that start. A
+    /// requested boundary always has a checkpoint of its own unless the
+    /// pool is thinned, so the grid never shortens a billed replay below
+    /// the cap and can lengthen one above it, by taking slots from
+    /// injection boundaries.
     ///
     /// A zero stride is reported as
     /// [`CampaignError::ZeroCheckpointStride`] when the campaign runs. The
@@ -1832,6 +1833,9 @@ thread_local! {
     static REJOINS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
     /// Re-joins with a cycle offset other than zero.
     static OFFSET_REJOINS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// Host cycles of the own runs on this thread: those that re-joined,
+    /// those classified `NoEffect`, and the rest.
+    static OWN_RUN_CYCLES: std::cell::Cell<[u64; 3]> = const { std::cell::Cell::new([0; 3]) };
 }
 
 /// How a fork-engine own run ended.
@@ -1847,24 +1851,24 @@ enum OwnEnd {
 /// **golden-shadow sweep**.
 ///
 /// A job whose nets the golden run never reads from its injection instant
-/// on is classified `NoEffect` at once. A transient or burst job diverges
-/// when its fault activates, which the golden trajectory dates before any
-/// window is stepped, so it runs on its own from its pool ancestor. The
-/// rest are armed as shadow faults on one golden run, restored from the
+/// on is classified `NoEffect` at once. The rest, of every fault model,
+/// are armed as shadow faults on one golden run, restored from the
 /// shallowest pool checkpoint they need and stepped in windows of
-/// [`SWEEP_WINDOW_STEPS`]. A fault acts only through reads, so such a
-/// job's faulty machine is the golden one until its first *effective
-/// divergence*: a read of its net that the fault would change. A job that
-/// diverges inside a window runs on its own from that window's start
-/// snapshot once the window ends, with its fault state carried over; then
-/// the window is stepped again without it (the same reads, so no other
-/// shadow diverges there). Every own run closes a proven hang loop (see
-/// [`observe`]).
+/// [`SWEEP_WINDOW_STEPS`]. A job's faulty machine is the golden one until
+/// its first *effective divergence*: a read of its net that the fault
+/// would change, or the activation of a transient or burst fault, which
+/// flips a stored bit. A job that diverges inside a window runs on its own
+/// from that window's start snapshot once the window ends, with its fault
+/// state carried over (a transient or burst is injected afresh, to flip
+/// when its clock comes); then the window is stepped again without it (the
+/// same reads, so no other shadow diverges there). Every own run closes a
+/// proven hang loop (see [`observe`]).
 ///
 /// An own run is compared once with the golden state at the end of the
-/// window it left in. If it is back there, closable and equal but for the
-/// clock, it stops and **re-joins** the sweep as a shadow that carries its
-/// fault state and its cycle offset Δ (its cycle minus the golden one).
+/// window it left in. If it is back there, closable (so a burst has landed
+/// its last flip) and equal but for the clock, it stops and **re-joins**
+/// the sweep as a shadow that carries its fault state, a spent flip
+/// included, and its cycle offset Δ (its cycle minus the golden one).
 /// Should it diverge again, it leaves like any job, its clock shifted by
 /// Δ, so every latency comes out in its own timeline. Jobs still on the
 /// sweep when the golden run halts are `NoEffect`, classified from the
@@ -1920,7 +1924,18 @@ fn sweep(
                     deadline,
                     Some(fork),
                 );
-                count_host_cycles(cpu.cycles() - from - run.skipped_cycles);
+                let stepped = cpu.cycles() - from - run.skipped_cycles;
+                count_host_cycles(stepped);
+                #[cfg(test)]
+                OWN_RUN_CYCLES.with(|tally| {
+                    let mut cycles = tally.get();
+                    cycles[match (run.rejoined, &run.outcome) {
+                        (Some(_), _) => 0,
+                        (None, FaultOutcome::NoEffect) => 1,
+                        (None, _) => 2,
+                    }] += stepped;
+                    tally.set(cycles);
+                });
                 if let Some(offset) = run.rejoined {
                     return OwnEnd::Rejoined(offset, cpu.pool().fault_states().collect());
                 }
@@ -1961,19 +1976,6 @@ fn sweep(
                 ..CampaignStats::default()
             };
             publish(idx, FaultOutcome::NoEffect, Detection::Undetected, delta);
-        } else if matches!(
-            job.kind,
-            FaultKind::TransientFlip | FaultKind::TransientBurst { .. }
-        ) {
-            // A transient or burst fault diverges when it activates, a
-            // cycle the golden trajectory dates before any window is
-            // stepped: riding the sweep would only step that stretch twice.
-            let from = pool.ancestor(golden, job);
-            let enter = |cpu: &mut Leon3| {
-                cpu.restore(&from.snapshot);
-                job.faults().for_each(|fault| cpu.inject(fault));
-            };
-            run_own(cpu, idx, &enter, from.steps, Duration::ZERO, alone);
         } else {
             on_sweep.push(idx);
         }
@@ -3141,6 +3143,120 @@ mod tests {
         assert_eq!(fork.records(), full.records());
     }
 
+    /// Rspeed's integer unit with one fault model at 30% of the run.
+    fn rspeed_iu(kind: FaultKind) -> Campaign {
+        Campaign::new(
+            workloads::Benchmark::Rspeed.program(&workloads::Params::default()),
+            Target::IntegerUnit,
+        )
+        .with_sample(24, 0xdac)
+        .with_kinds(&[kind])
+        .with_injection_fraction(0.3)
+    }
+
+    #[test]
+    fn masked_transients_rejoin_the_sweep_for_good() {
+        let campaign = rspeed_iu(FaultKind::TransientFlip);
+        OWN_RUNS.with(|runs| runs.set(0));
+        let (fork, rejoins, _) = rejoin_counts(|| campaign.run(1));
+        assert!(rejoins > 0);
+        // A flip lands once, and a job re-joins carrying the flip it has
+        // spent, so it never leaves the sweep again: every simulated job
+        // runs on its own exactly once.
+        let s = fork.stats();
+        assert_eq!(
+            OWN_RUNS.with(std::cell::Cell::get),
+            s.jobs - s.skipped_inactive
+        );
+        let full = campaign.with_execution(Execution::FullReexecution).run(1);
+        assert_eq!(fork.records(), full.records());
+    }
+
+    #[test]
+    fn a_burst_still_flipping_at_its_window_end_never_rejoins() {
+        // Flips 100 cycles apart have usually all landed by the end of the
+        // window the burst leaves in; 20,000 cycles is several windows.
+        let close = rspeed_iu(FaultKind::TransientBurst {
+            flips: 3,
+            spacing: 100,
+        });
+        let (_, rejoins, _) = rejoin_counts(|| close.run(1));
+        assert!(rejoins > 0);
+        let apart = rspeed_iu(FaultKind::TransientBurst {
+            flips: 2,
+            spacing: 20_000,
+        });
+        let (fork, rejoins, _) = rejoin_counts(|| apart.run(1));
+        assert_eq!(rejoins, 0);
+        let full = apart.with_execution(Execution::FullReexecution).run(1);
+        assert_eq!(fork.records(), full.records());
+    }
+
+    /// Flips on sixteen sites of `target` that rspeed's golden run reads
+    /// after the first of 48 instants, with a checkpoint every quarter of
+    /// the run: the sweeps of EXPERIMENTS.md's "Transient jobs on the
+    /// sweep".
+    fn transient_sweep(target: Target) -> (Campaign, Vec<InjectionInstant>) {
+        const INSTANTS: u32 = 48;
+        let program = workloads::Benchmark::Rspeed.program(&workloads::Params::default());
+        let golden = GoldenRun::capture(&program, &Leon3Config::default());
+        let first = golden.cycles / u64::from(INSTANTS + 1);
+        let read: Vec<FaultSite> = fault_sites(&Leon3::new(Leon3Config::default()), target)
+            .into_iter()
+            .filter(|site| golden.net_exercised_from(site.net, first))
+            .collect();
+        let campaign = Campaign::new(program, target)
+            .with_sites(sample_sites(&read, 16, 1))
+            .with_kinds(&[FaultKind::TransientFlip])
+            .with_checkpoint_stride(golden.cycles / 4);
+        let instants = (1..=INSTANTS)
+            .map(|i| InjectionInstant::Fraction(f64::from(i) / f64::from(INSTANTS + 1)))
+            .collect();
+        (campaign, instants)
+    }
+
+    #[test]
+    #[ignore = "a measurement: run it alone, with --ignored --nocapture"]
+    fn where_a_transient_sweep_steps() {
+        // `host_cycles` counts every thread of the process, so this reads
+        // it only while no other test runs.
+        for target in [Target::IntegerUnit, Target::CacheMemory] {
+            let (campaign, instants) = transient_sweep(target);
+            let options = ExecOptions {
+                instants: Some(&instants),
+                ..ExecOptions::default()
+            };
+            OWN_RUNS.with(|n| n.set(0));
+            OWN_RUN_CYCLES.with(|n| n.set([0; 3]));
+            let before = host_cycles();
+            let (results, rejoins, offset) =
+                rejoin_counts(|| campaign.execute(1, &options).expect("valid sweep"));
+            let host = host_cycles() - before;
+            let records = results.iter().flat_map(CampaignResult::records);
+            let simulated = records.clone().filter(|r| r.activated).count();
+            let masked = records
+                .filter(|r| r.activated && r.outcome == FaultOutcome::NoEffect)
+                .count();
+            let billed: u64 = results.iter().map(|r| r.stats().cycles_simulated).sum();
+            let own = OWN_RUN_CYCLES.with(std::cell::Cell::get);
+            println!(
+                "{target:?}: {} jobs, {simulated} simulated, {masked} NoEffect; \
+                 host {host} of {billed} billed; {} own runs; \
+                 re-joined {rejoins} ({offset} with an offset) {} cycles; \
+                 NoEffect alone {} {} cycles; other outcomes {} {} cycles; \
+                 sweep and pool {} cycles",
+                results.iter().map(|r| r.stats().jobs).sum::<usize>(),
+                OWN_RUNS.with(std::cell::Cell::get),
+                own[0],
+                masked - rejoins,
+                own[1],
+                simulated - masked,
+                own[2],
+                host - own.iter().sum::<u64>(),
+            );
+        }
+    }
+
     #[test]
     fn no_job_rejoins_under_a_watchdog_a_deadline_or_an_intermittent_fault() {
         let program = workloads::Benchmark::Rspeed.program(&workloads::Params::default());
@@ -3159,9 +3275,14 @@ mod tests {
             phase: 0,
         }])
         .with_injection_fraction(0.3);
+        let transient = rspeed_iu(FaultKind::TransientFlip);
         for campaign in [
             rspeed_cmem().with_watchdog_cycles(golden.max_write_gap * 2),
             rspeed_cmem().with_deadline(Duration::from_secs(600)),
+            transient
+                .clone()
+                .with_watchdog_cycles(golden.max_write_gap * 2),
+            transient.with_deadline(Duration::from_secs(600)),
             intermittent,
         ] {
             let (fork, rejoins, _) = rejoin_counts(|| campaign.run(1));

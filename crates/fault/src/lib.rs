@@ -18,12 +18,13 @@
 //!   its [`ExecOptions`] choose the injection instants, single or
 //!   dual-point faults, a write-ahead journal, and a reused golden run
 //!   ([`Campaign::try_run`] and [`Campaign::run`] are single-instant
-//!   shorthands). The default [`Execution::Fork`] engine
-//!   simulates the shared fault-free prefix once, forks every job from the
-//!   resulting snapshot, and skips jobs whose nets the golden run never
-//!   exercises after the injection instant; [`CampaignStats`] accounts for
-//!   the cycles saved. [`Execution::FullReexecution`] re-runs every job
-//!   from reset and produces bit-identical records.
+//!   shorthands). The default [`Execution::Fork`] engine steps one
+//!   golden run per worker with every job's faults armed as shadows, runs
+//!   a job alone only while it differs from the golden run, and skips jobs
+//!   whose nets the golden run never exercises after the injection
+//!   instant; [`CampaignStats`] accounts for the cycles saved.
+//!   [`Execution::FullReexecution`] re-runs every job from reset and
+//!   produces bit-identical records.
 //! * [`CampaignResult`] aggregates `Pf` (fraction of injected faults that
 //!   become failures) and propagation-latency statistics per fault model.
 //!

@@ -1,9 +1,10 @@
 //! Checkpoint-tree engine equivalence: a dense any-instant transient
 //! sweep on the fork engine must produce records bit-identical to full
 //! re-execution with **zero** full-re-execution fallbacks, exercising
-//! both restore paths (exact-boundary fork and ancestor-replay once the
-//! pool is thinned past `MAX_POOL_CHECKPOINTS`), and a multi-instant
-//! journal must resume only into the sweep that wrote it.
+//! both billing paths (exact-boundary fork and ancestor replay once the
+//! pool is thinned past `MAX_POOL_CHECKPOINTS`; every job rides the
+//! golden-shadow sweep on the host), and a multi-instant journal must
+//! resume only into the sweep that wrote it.
 
 use fault_inject::{
     Campaign, CampaignError, ExecOptions, Execution, GoldenRun, InjectionInstant, JournalError,

@@ -83,3 +83,24 @@ fn rejoined_cache_jobs_step_under_three_tenths_of_what_they_bill() {
         "the fork engine stepped {host} cycles of the {billed} it billed"
     );
 }
+
+#[test]
+fn riding_transients_step_under_half_of_what_they_bill() {
+    // Most flips on the integer unit are masked, and such a job re-joins
+    // the sweep at the end of the window its flip lands in instead of
+    // stepping to the golden halt alone. A job that ran alone from its
+    // pool ancestor would step exactly what it bills.
+    let campaign = Campaign::new(
+        Benchmark::Rspeed.program(&Params::default()),
+        Target::IntegerUnit,
+    )
+    .with_sample(12, 0xbe)
+    .with_kinds(&[FaultKind::TransientFlip])
+    .with_injection_fraction(0.3);
+    let (fork, host) = counted(campaign);
+    let billed = fork.stats().cycles_simulated;
+    assert!(
+        host * 2 < billed,
+        "the fork engine stepped {host} cycles of the {billed} it billed"
+    );
+}
