@@ -11,10 +11,11 @@
 //! per-boundary checkpoints to a bounded pool (trading a longer billed
 //! replay for bounded memory). The jobs themselves ride a **golden-shadow
 //! sweep**, whatever their fault model: a fault acts only through reads or
-//! by flipping a stored value, so each worker steps one golden run with
-//! every job's faults armed as shadow faults, and a job runs on a model of
-//! its own only from the sweep window in which its fault first changes a
-//! read or, for a transient or burst, flips a bit. Jobs still on the
+//! by flipping a stored value, so each worker steps one golden run once,
+//! window by window, with every job's faults armed as shadow faults, and a
+//! job runs on a second model of the worker's only from the start of the
+//! sweep window in which its fault first changes a read or, for a
+//! transient or burst, flips a bit. Jobs still on the
 //! sweep when the golden run halts are `NoEffect` without a
 //! run of their own, a job's own run that proves its faulty machine
 //! loops exactly skips to its hang budget (see [`observe`]), and one that
@@ -98,8 +99,8 @@ static HOST_CYCLES: AtomicU64 = AtomicU64::new(0);
 
 /// Cycles the campaign engine has stepped on the host since the process
 /// started, over every campaign on every thread: each checkpoint pool's
-/// prefix, each golden-shadow sweep window's first pass and re-step, each
-/// job's own run from its window start, and each full re-execution run.
+/// prefix, each golden-shadow sweep window's one pass, each job's own run
+/// from its window start, and each full re-execution run.
 /// Golden capture is not counted, and neither are the cycles a closed
 /// hang loop skips or a re-joined job rides on the sweep.
 /// Read it before and after a campaign for that campaign's count while
@@ -305,10 +306,11 @@ pub enum Execution {
     /// fault-free trajectory once, dropping a pool of checkpoints (reset
     /// state, every requested injection boundary, plus an optional
     /// periodic grid). Each worker then restores the shallowest checkpoint
-    /// its jobs need and steps the golden run with every job's faults
-    /// armed as shadows; a job runs on its own only from the sweep window
-    /// in which its fault first changes a read or, for a transient or
-    /// burst, flips a bit. An own run whose faulty machine loops exactly
+    /// its jobs need and steps the golden run once, window by window, with
+    /// every job's faults armed as shadows; a job runs on a second model
+    /// of its own only from the start of the sweep window in which its
+    /// fault first changes a read or, for a transient or burst, flips a
+    /// bit. An own run whose faulty machine loops exactly
     /// skips to its hang budget, and an own run that is back in the
     /// golden state at the end of its window, apart from the clock and
     /// with no flip left to land, re-joins the sweep carrying its fault
@@ -1743,8 +1745,10 @@ struct JobContext<'a> {
 }
 
 /// Run one job's attempt with panic isolation: a panicking attempt is
-/// retried once (every job entry sequence restores or resets the model
-/// first, so the retry never sees torn state); a second panic yields what
+/// retried once (every job entry sequence restores or resets the model it
+/// runs on first, so the retry never sees torn state, and on the fork
+/// engine that model is the sweep's runner, never the golden model the
+/// sweep steps); a second panic yields what
 /// `anomaly` makes of [`FaultOutcome::EngineAnomaly`] with the panic
 /// payload, and the failed attempts' cost tally is dropped.
 fn isolated<T>(
@@ -1836,6 +1840,12 @@ thread_local! {
     /// Host cycles of the own runs on this thread: those that re-joined,
     /// those classified `NoEffect`, and the rest.
     static OWN_RUN_CYCLES: std::cell::Cell<[u64; 3]> = const { std::cell::Cell::new([0; 3]) };
+    /// Host cycles of the sweep windows stepped on this thread.
+    static WINDOW_CYCLES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// Each own run on this thread that ended `NoEffect` without
+    /// re-joining: its job and the step count of its window start.
+    static LONE_NO_EFFECT: std::cell::RefCell<Vec<(Job, u64)>> =
+        const { std::cell::RefCell::new(Vec::new()) };
 }
 
 /// How a fork-engine own run ended.
@@ -1857,12 +1867,13 @@ enum OwnEnd {
 /// [`SWEEP_WINDOW_STEPS`]. A job's faulty machine is the golden one until
 /// its first *effective divergence*: a read of its net that the fault
 /// would change, or the activation of a transient or burst fault, which
-/// flips a stored bit. A job that diverges inside a window runs on its own
-/// from that window's start snapshot once the window ends, with its fault
-/// state carried over (a transient or burst is injected afresh, to flip
-/// when its clock comes); then the window is stepped again without it (the
-/// same reads, so no other shadow diverges there). Every own run closes a
-/// proven hang loop (see [`observe`]).
+/// flips a stored bit. The golden run is the *rider*: it steps each window
+/// once and never leaves the golden trajectory. A job that diverges inside
+/// a window runs on a second model, the *runner*, restored to that
+/// window's start snapshot once the window ends, with its fault state
+/// carried over (a transient or burst is injected afresh, to flip when its
+/// clock comes); the rider just retires its shadows. Every own run closes
+/// a proven hang loop (see [`observe`]).
 ///
 /// An own run is compared once with the golden state at the end of the
 /// window it left in. If it is back there, closable (so a burst has landed
@@ -1880,10 +1891,9 @@ enum OwnEnd {
 /// Every job is billed as if it had been restored from its own pool
 /// ancestor and stepped to its end cycle, so records and stats are those
 /// of a per-job fork. A job's wall-clock deadline bounds the time spent
-/// stepping its faulty machine: one pass of the sweep over each window it
+/// stepping its faulty machine: the rider's one pass over each window it
 /// rode from the one its pool ancestor lies in, then its own run. Other
-/// jobs' own runs, and the first pass over a window that other jobs left
-/// in, do not count against it.
+/// jobs' own runs do not count against it.
 fn sweep(
     cpu: &mut Leon3,
     ctx: &JobContext<'_>,
@@ -1894,7 +1904,7 @@ fn sweep(
 ) {
     let golden = ctx.golden;
     let may_rejoin = ctx.deadline.is_none() && ctx.safety.watchdog_cycles.is_none();
-    // A job runs on its own once `enter` has put the model where it
+    // A job runs on its own once `enter` has put the runner where it
     // starts: at `steps` into the run, its faults injected, with what the
     // `spent` sweep time left of its deadline. A classified job is
     // published; a re-joining one is handed back.
@@ -1927,15 +1937,21 @@ fn sweep(
                 let stepped = cpu.cycles() - from - run.skipped_cycles;
                 count_host_cycles(stepped);
                 #[cfg(test)]
-                OWN_RUN_CYCLES.with(|tally| {
-                    let mut cycles = tally.get();
-                    cycles[match (run.rejoined, &run.outcome) {
+                {
+                    let end = match (run.rejoined, &run.outcome) {
                         (Some(_), _) => 0,
                         (None, FaultOutcome::NoEffect) => 1,
                         (None, _) => 2,
-                    }] += stepped;
-                    tally.set(cycles);
-                });
+                    };
+                    OWN_RUN_CYCLES.with(|tally| {
+                        let mut cycles = tally.get();
+                        cycles[end] += stepped;
+                        tally.set(cycles);
+                    });
+                    if end == 1 {
+                        LONE_NO_EFFECT.with(|runs| runs.borrow_mut().push((*job, steps)));
+                    }
+                }
                 if let Some(offset) = run.rejoined {
                     return OwnEnd::Rejoined(offset, cpu.pool().fault_states().collect());
                 }
@@ -1989,7 +2005,8 @@ fn sweep(
     };
     let restoring = Instant::now();
     cpu.restore(&start.snapshot);
-    let mut window = cpu.mark();
+    let mut window = start.snapshot.clone();
+    let mut runner = Leon3::new(cpu.config().clone());
     let mut window_steps = start.steps;
     // Wall-clock time the sweep has spent stepping so far, and its value
     // at each window start: a job's deadline is charged from the window
@@ -2007,12 +2024,11 @@ fn sweep(
         let accepted = jobs[idx].faults().all(|fault| cpu.pool().accepts(&fault));
         if !accepted {
             let spent = spent(&starts, swept, idx);
-            let enter = |cpu: &mut Leon3| {
-                cpu.rewind(&window);
-                jobs[idx].faults().for_each(|fault| cpu.inject(fault));
+            let enter = |runner: &mut Leon3| {
+                runner.restore(&window);
+                jobs[idx].faults().for_each(|fault| runner.inject(fault));
             };
-            run_own(cpu, idx, &enter, window_steps, spent, alone);
-            cpu.rewind(&window);
+            run_own(&mut runner, idx, &enter, window_steps, spent, alone);
         }
         accepted
     });
@@ -2067,14 +2083,20 @@ fn sweep(
                 saved.clone_from(cpu.shadows());
             }
         }
-        let mut pass = Instant::now();
+        // The one pass over this window, which every job still riding it
+        // is charged.
+        let pass = Instant::now();
         let mut stepped = 0;
         let mut halted = false;
         while stepped < SWEEP_WINDOW_STEPS && !halted {
             halted = cpu.step() == StepEvent::Stopped;
             stepped += 1;
         }
-        count_host_cycles(cpu.cycles() - window.cycle());
+        let pass = pass.elapsed();
+        let window_cycles = cpu.cycles() - window.cycle();
+        count_host_cycles(window_cycles);
+        #[cfg(test)]
+        WINDOW_CYCLES.with(|n| n.set(n.get() + window_cycles));
         leaving.clear();
         leaving.extend(cpu.diverged_shadow_owners());
         if !leaving.is_empty() {
@@ -2087,18 +2109,19 @@ fn sweep(
             for &idx in &leaving {
                 let spent = spent(&starts, swept, idx);
                 let offset = offsets.get(&idx).copied();
-                let enter = |cpu: &mut Leon3| {
-                    cpu.rewind(&window);
-                    cpu.inject_shadowed(&saved, idx);
+                let enter = |runner: &mut Leon3| {
+                    runner.restore(&window);
+                    runner.inject_shadowed(&saved, idx);
                     if let Some(offset) = offset {
-                        cpu.shift_clock(offset);
+                        runner.shift_clock(offset);
                     }
                 };
                 let fork = OwnRun {
                     offset: offset.unwrap_or(0),
                     rejoin_at,
                 };
-                if let Some((offset, faults)) = run_own(cpu, idx, &enter, window_steps, spent, fork)
+                if let Some((offset, faults)) =
+                    run_own(&mut runner, idx, &enter, window_steps, spent, fork)
                 {
                     #[cfg(test)]
                     {
@@ -2113,19 +2136,7 @@ fn sweep(
             if on_sweep.is_empty() && rejoining.is_empty() {
                 return;
             }
-            // The jobs left are charged for this pass only.
-            pass = Instant::now();
-            cpu.rewind(&window);
-            cpu.set_shadows(&saved);
             cpu.retire_shadows(|owner| leaving.binary_search(&owner).is_ok());
-            for _ in 0..stepped {
-                cpu.step();
-            }
-            count_host_cycles(cpu.cycles() - window.cycle());
-            debug_assert!(
-                cpu.diverged_shadow_owners().next().is_none(),
-                "a re-stepped window diverged"
-            );
         }
         if halted {
             break;
@@ -2138,10 +2149,10 @@ fn sweep(
             );
             on_sweep.extend(rejoining.drain(..).map(|(idx, _)| idx));
         }
-        cpu.mark_into(&mut window);
+        cpu.snapshot_into(&mut window);
         saved.clone_from(cpu.shadows());
         window_steps += stepped;
-        swept += pass.elapsed();
+        swept += pass;
         starts.push((window_steps, swept));
     }
     // Never diverged, or back in the golden state since: each of these
@@ -2212,7 +2223,7 @@ pub(crate) struct Observation {
 #[derive(Clone, Copy)]
 pub(crate) struct OwnRun<'a> {
     /// Cycles the run's clock is ahead of the golden timestamps in the
-    /// bus trace it was rewound to (negative if behind).
+    /// bus trace it was restored with (negative if behind).
     offset: i64,
     /// The step count at which the run's window ends and the golden state
     /// there, when the run may re-join the sweep.
@@ -2270,7 +2281,7 @@ pub(crate) fn observe(
     let mut ticks: u32 = 0;
     let mut close_loops = fork.is_some();
     let (offset, rejoin_at) = fork.map_or((0, None), |f| (f.offset, f.rejoin_at));
-    // In the run's own timeline: a rewound trace holds golden timestamps.
+    // In the run's own timeline: a restored trace holds golden timestamps.
     let mut last_write = cpu
         .bus_trace()
         .events()
@@ -3253,6 +3264,97 @@ mod tests {
                 simulated - masked,
                 own[2],
                 host - own.iter().sum::<u64>(),
+            );
+        }
+    }
+
+    #[test]
+    fn the_sweep_steps_each_window_once() {
+        // One thread and one instant: the pool steps the golden run to the
+        // injection boundary, where the sweep starts, and jobs still ride
+        // the sweep at the golden halt. Between them the pool and the
+        // sweep windows step the golden run exactly once, however many
+        // jobs leave the sweep.
+        let campaign = rspeed_cmem();
+        OWN_RUNS.with(|runs| runs.set(0));
+        WINDOW_CYCLES.with(|n| n.set(0));
+        let result = campaign.run(1);
+        let windows = WINDOW_CYCLES.with(std::cell::Cell::get);
+        assert!(OWN_RUNS.with(std::cell::Cell::get) > 0);
+        let golden = campaign.prepare().expect("valid").golden;
+        assert_eq!(result.stats().prefix_cycles + windows, golden.cycles);
+    }
+
+    #[test]
+    #[ignore = "a measurement: run it alone, with --ignored --nocapture"]
+    fn lone_masked_runs_that_meet_the_golden_state_later() {
+        // Each own run that ends `NoEffect` without re-joining is replayed
+        // from reset beside the golden run, and compared with it at every
+        // end of the sweep's windows after the one the sweep compared at.
+        let (iu, iu_instants) = transient_sweep(Target::IntegerUnit);
+        let (cmem, cmem_instants) = transient_sweep(Target::CacheMemory);
+        for (name, campaign, instants) in [
+            ("IU flips", iu, Some(iu_instants)),
+            ("CMEM flips", cmem, Some(cmem_instants)),
+            ("rspeed_cmem", rspeed_cmem(), None),
+        ] {
+            LONE_NO_EFFECT.with(|runs| runs.borrow_mut().clear());
+            OWN_RUN_CYCLES.with(|n| n.set([0; 3]));
+            let options = ExecOptions {
+                instants: instants.as_deref(),
+                ..ExecOptions::default()
+            };
+            campaign.execute(1, &options).expect("valid sweep");
+            let runs = LONE_NO_EFFECT.with(std::cell::RefCell::take);
+            let config = campaign.classification_config();
+            // One worker, so one window grid; no compare where the golden
+            // run halts.
+            let phase = runs
+                .first()
+                .map_or(0, |&(_, from)| from % SWEEP_WINDOW_STEPS);
+            let mut cpu = Leon3::new(config.clone());
+            cpu.load(&campaign.program);
+            let mut marks = HashMap::new();
+            let mut steps = 0;
+            while cpu.step() != StepEvent::Stopped {
+                steps += 1;
+                if steps % SWEEP_WINDOW_STEPS == phase {
+                    marks.insert(steps, cpu.state_mark());
+                }
+            }
+            let (mut lone, mut later, mut after) = (0, 0, 0);
+            for (job, from) in &runs {
+                let mut faulty = Leon3::new(config.clone());
+                faulty.load(&campaign.program);
+                job.faults().for_each(|fault| faulty.inject(fault));
+                let (mut steps, mut start, mut matched) = (0, 0, None);
+                loop {
+                    if steps == *from {
+                        start = faulty.cycles();
+                    }
+                    if faulty.step() == StepEvent::Stopped {
+                        break;
+                    }
+                    steps += 1;
+                    if matched.is_none()
+                        && steps > from + SWEEP_WINDOW_STEPS
+                        && faulty.is_closable()
+                        && marks.get(&steps).is_some_and(|mark| faulty.repeats(mark))
+                    {
+                        matched = Some(faulty.cycles());
+                    }
+                }
+                lone += faulty.cycles() - start;
+                if let Some(at) = matched {
+                    later += 1;
+                    after += faulty.cycles() - at;
+                }
+            }
+            assert_eq!(lone, OWN_RUN_CYCLES.with(std::cell::Cell::get)[1]);
+            println!(
+                "{name}: {} lone NoEffect runs step {lone} cycles; {later} meet the \
+                 golden state at a later window end and step {after} cycles after it",
+                runs.len()
             );
         }
     }

@@ -59,10 +59,26 @@ impl fmt::Display for BusEvent {
 }
 
 /// An append-only record of off-core transactions.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct BusTrace {
     events: Vec<BusEvent>,
     record_reads: bool,
+}
+
+impl Clone for BusTrace {
+    fn clone(&self) -> BusTrace {
+        BusTrace {
+            events: self.events.clone(),
+            record_reads: self.record_reads,
+        }
+    }
+
+    /// Copy `source` into this trace's own buffer, which a snapshot retaken
+    /// or restored again and again then reuses instead of reallocating.
+    fn clone_from(&mut self, source: &BusTrace) {
+        self.events.clone_from(&source.events);
+        self.record_reads = source.record_reads;
+    }
 }
 
 impl BusTrace {
@@ -106,12 +122,6 @@ impl BusTrace {
     /// Whether no event was recorded.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
-    }
-
-    /// Keep the first `len` events and drop the rest (no-op if the trace
-    /// is not longer than `len`).
-    pub fn truncate(&mut self, len: usize) {
-        self.events.truncate(len);
     }
 
     /// Index of the first write whose payload diverges from `golden`'s

@@ -38,29 +38,6 @@ pub struct Snapshot {
     config: Leon3Config,
 }
 
-/// A [`Snapshot`] for rewinding the model it was taken from (see
-/// [`Leon3::mark`]). A model's bus trace only grows while it runs, so a
-/// mark keeps the trace's length, not a copy: rewinding cuts the live
-/// trace back to it.
-#[derive(Debug, Clone)]
-pub struct Mark {
-    /// Everything but the trace, which is left empty.
-    state: Snapshot,
-    trace_len: usize,
-}
-
-impl Mark {
-    /// The cycle at which the mark was taken.
-    pub fn cycle(&self) -> u64 {
-        self.state.cycle()
-    }
-
-    /// Number of bus events recorded at the mark.
-    pub fn trace_len(&self) -> usize {
-        self.trace_len
-    }
-}
-
 /// A state of a [`Leon3`] that states of a closable model are tested
 /// against for an exact repeat (see [`Leon3::repeats`]): a later state of
 /// the same run ([`Leon3::loop_mark`]), or the golden run's state at the
@@ -139,9 +116,8 @@ impl Snapshot {
 ///    both of which hold plain data either way;
 /// 2. every job entry sequence rebuilds all execution state from scratch:
 ///    [`Leon3::reset`] + [`Leon3::load`] on the re-execution path,
-///    [`Leon3::restore`] or [`Leon3::rewind`] on the fork path (a job only
-///    appends to the bus trace that `rewind` cuts back). Nothing a
-///    panicked job left behind survives into the next job.
+///    [`Leon3::restore`] on the fork path. Nothing a panicked job left
+///    behind survives into the next job.
 ///
 /// Any new field must be covered by `reset`/`restore` (or be a pure
 /// debugging aid those paths clear) to preserve this contract.
@@ -266,97 +242,11 @@ impl Leon3 {
     /// a snapshot, so capturing one here would silently drop it on
     /// restore.
     pub fn snapshot(&self) -> Snapshot {
-        Snapshot {
-            trace: self.trace.clone(),
-            ..self.snapshot_untraced()
-        }
-    }
-
-    /// Restore a [`Snapshot`], resuming execution bit-identically to the
-    /// model it was captured from. Any injected faults and shadows are
-    /// cleared (the caller re-injects the fault under test, which re-arms
-    /// against the restored clock exactly as on a fresh run); waveform
-    /// recording and the rolling instruction window are dropped.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot was captured under a different
-    /// [`Leon3Config`] (the net population and timing would not line up).
-    pub fn restore(&mut self, snapshot: &Snapshot) {
-        self.restore_untraced(snapshot);
-        self.trace.clone_from(&snapshot.trace);
-    }
-
-    /// Capture the execution state as a [`Mark`] to [`Leon3::rewind`] this
-    /// same model to later.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a fault or bridge is injected.
-    pub fn mark(&self) -> Mark {
-        let mut state = self.snapshot_untraced();
-        state.trace = BusTrace::new();
-        Mark {
-            state,
-            trace_len: self.trace.len(),
-        }
-    }
-
-    /// [`Leon3::mark`] into an existing mark, reusing its allocations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a fault or bridge is injected, or `into` was captured
-    /// under a different [`Leon3Config`].
-    pub fn mark_into(&self, into: &mut Mark) {
-        assert!(
-            self.pool.is_fault_free(),
-            "snapshots must be taken from a fault-free model"
-        );
-        assert_eq!(
-            self.config, into.state.config,
-            "snapshot captured under a different configuration"
-        );
-        let state = &mut into.state;
-        self.pool.checkpoint_into(&mut state.pool);
-        state.mem.clone_from(&self.mem);
-        state.stats.clone_from(&self.stats);
-        state.exit = self.exit;
-        state.eval_acc = self.eval_acc;
-        state.timer.clone_from(&self.timer);
-        state.parity_event = self.parity_event;
-        into.trace_len = self.trace.len();
-    }
-
-    /// Return this model to a [`Mark`] taken from it: as
-    /// [`Leon3::restore`], but the bus trace, which only grew since, is cut
-    /// back to its marked length instead of copied.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace is shorter than at the mark (it was restored to
-    /// an earlier instant in between), or on the [`Leon3::restore`]
-    /// conditions.
-    pub fn rewind(&mut self, mark: &Mark) {
-        assert!(
-            self.trace.len() >= mark.trace_len,
-            "rewinding to a mark this run did not pass"
-        );
-        self.restore_untraced(&mark.state);
-        self.trace.truncate(mark.trace_len);
-    }
-
-    /// Everything [`Leon3::snapshot`] captures but the bus trace, which
-    /// is left empty.
-    fn snapshot_untraced(&self) -> Snapshot {
-        assert!(
-            self.pool.is_fault_free(),
-            "snapshots must be taken from a fault-free model"
-        );
+        self.assert_fault_free();
         Snapshot {
             pool: self.pool.checkpoint(),
             mem: self.mem.clone(),
-            trace: BusTrace::new(),
+            trace: self.trace.clone(),
             stats: self.stats.clone(),
             exit: self.exit,
             eval_acc: self.eval_acc,
@@ -366,14 +256,56 @@ impl Leon3 {
         }
     }
 
-    /// [`Leon3::restore`] of everything but the bus trace.
-    fn restore_untraced(&mut self, snapshot: &Snapshot) {
+    /// [`Leon3::snapshot`] into an existing snapshot, refilling its
+    /// buffers in place: a snapshot retaken from the same run copies bytes
+    /// without touching the allocator.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a fault or bridge is injected, or `into` was captured
+    /// under a different [`Leon3Config`].
+    pub fn snapshot_into(&self, into: &mut Snapshot) {
+        self.assert_fault_free();
+        assert_eq!(
+            self.config, into.config,
+            "snapshot captured under a different configuration"
+        );
+        self.pool.checkpoint_into(&mut into.pool);
+        into.mem.clone_from(&self.mem);
+        into.trace.clone_from(&self.trace);
+        into.stats.clone_from(&self.stats);
+        into.exit = self.exit;
+        into.eval_acc = self.eval_acc;
+        into.timer.clone_from(&self.timer);
+        into.parity_event = self.parity_event;
+    }
+
+    fn assert_fault_free(&self) {
+        assert!(
+            self.pool.is_fault_free(),
+            "snapshots must be taken from a fault-free model"
+        );
+    }
+
+    /// Restore a [`Snapshot`], resuming execution bit-identically to the
+    /// model it was captured from. Any injected faults and shadows are
+    /// cleared (the caller re-injects the fault under test, which re-arms
+    /// against the restored clock exactly as on a fresh run); waveform
+    /// recording and the rolling instruction window are dropped. The
+    /// model's own buffers are refilled in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the snapshot was captured under a different
+    /// [`Leon3Config`] (the net population and timing would not line up).
+    pub fn restore(&mut self, snapshot: &Snapshot) {
         assert_eq!(
             self.config, snapshot.config,
             "snapshot captured under a different configuration"
         );
         self.pool.restore(&snapshot.pool);
         self.mem.clone_from(&snapshot.mem);
+        self.trace.clone_from(&snapshot.trace);
         self.stats.clone_from(&snapshot.stats);
         self.exit = snapshot.exit;
         self.eval_acc = snapshot.eval_acc;
@@ -468,7 +400,7 @@ impl Leon3 {
 
     /// Move the clock by `delta` cycles, later or earlier, and change
     /// nothing else. A closable model steps alike at every clock value, so
-    /// this puts a model rewound to a golden state into the timeline of a
+    /// this puts a model restored to a golden state into the timeline of a
     /// faulty run that reached that state `delta` cycles late (early if
     /// negative). The statistics and the faithful-clocking accumulator stay
     /// those of the run the state came from.
@@ -543,11 +475,6 @@ impl Leon3 {
     /// out, as it leaves out faults).
     pub fn shadows(&self) -> &ShadowTable {
         self.pool.shadows()
-    }
-
-    /// Re-arm shadows saved at the instant of the snapshot just restored.
-    pub fn set_shadows(&mut self, table: &ShadowTable) {
-        self.pool.set_shadows(table);
     }
 
     /// Inject `owner`'s shadows from `table` as real faults, carrying their

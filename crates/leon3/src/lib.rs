@@ -60,5 +60,5 @@ pub mod graph;
 mod nets;
 
 pub use config::{cycles_to_us, Leon3Config, CLOCK_HZ};
-pub use core::{Leon3, LoopMark, Mark, Snapshot};
+pub use core::{Leon3, LoopMark, Snapshot};
 pub use nets::NetMap;

@@ -69,7 +69,8 @@ enum Overlay {
 /// then the faulty machine it stands for is the fault-free one.
 ///
 /// The table is plain data, so a caller can save it beside a checkpoint
-/// and put it back with [`NetPool::set_shadows`].
+/// and later inject one owner's faults from it with
+/// [`NetPool::inject_shadowed`].
 #[derive(Debug)]
 pub struct ShadowTable {
     /// Sorted by net; one owner's shadows on a net keep their arming order.
@@ -344,6 +345,12 @@ impl<T> NetPool<T> {
         if !self.shadows.is_empty() && self.shadows.first[id.0 as usize] != UNWATCHED {
             self.check_shadows(id.0 as usize);
         }
+        self.overlaid(id)
+    }
+
+    /// The value a read of `id` returns with the faults and bridges
+    /// applied, noting nothing.
+    fn overlaid(&self, id: NetId) -> u32 {
         let mut value = self.values[id.0 as usize];
         for f in &self.faults {
             if f.fault.net == id {
@@ -586,24 +593,6 @@ impl<T> NetPool<T> {
     /// The armed shadows, with their activation state.
     pub fn shadows(&self) -> &ShadowTable {
         &self.shadows
-    }
-
-    /// Replace the armed shadows with a table saved from this pool (or
-    /// one with the same nets), e.g. after [`NetPool::restore`] put the
-    /// values back to the instant the table was saved at.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a fault or bridge is injected, or the table indexes a
-    /// different net population.
-    pub fn set_shadows(&mut self, table: &ShadowTable) {
-        assert!(self.is_fault_free(), "faults and shadows do not mix");
-        assert!(
-            table.is_empty() || table.first.len() == self.values.len(),
-            "shadow table net population mismatch"
-        );
-        self.shadows.clone_from(table);
-        self.refresh_overlay();
     }
 
     /// Inject, as real faults, the shadows of `owner` in `table` (saved
@@ -859,14 +848,24 @@ impl<T> NetPool<T> {
 
     /// Fold every net's current (fault-overlaid) value into one word —
     /// the per-delta-cycle process-evaluation sweep of an RTL model's
-    /// faithful-clocking mode. The fault-free path folds the raw storage
-    /// directly so the sweep cost stays stable across compiler versions.
+    /// faithful-clocking mode. It folds the raw storage, then corrects
+    /// each distinct net a fault or bridge touches by its overlaid value
+    /// minus its raw one, so a faulted sweep costs what a fault-free one
+    /// does. Nothing is noted as read.
     pub fn evaluate_all(&self) -> u32 {
-        if self.faults.is_empty() && self.bridges.is_empty() {
-            self.values.iter().fold(0u32, |acc, &v| acc.wrapping_add(v))
-        } else {
-            (0..self.values.len() as u32).fold(0u32, |acc, i| acc.wrapping_add(self.read(NetId(i))))
-        }
+        let raw = self.values.iter().fold(0u32, |acc, &v| acc.wrapping_add(v));
+        let touched = || {
+            let bridged = self.bridges.iter().flat_map(|(b, _)| [b.a.0, b.b.0]);
+            self.faults.iter().map(|f| f.fault.net).chain(bridged)
+        };
+        touched()
+            .enumerate()
+            // Each net once: skip one that an earlier fault or bridge touched.
+            .filter(|&(k, net)| !touched().take(k).any(|seen| seen == net))
+            .fold(raw, |acc, (_, net)| {
+                acc.wrapping_add(self.overlaid(net))
+                    .wrapping_sub(self.values[net.0 as usize])
+            })
     }
 
     /// Advance the simulation clock by one cycle, activating any fault
@@ -1910,12 +1909,6 @@ mod tests {
             0,
             "a fresh injection captures the current raw bit"
         );
-        // Shadows put back over the restored values resume where they were.
-        let mut resumed = fresh.clone();
-        resumed.clear_faults();
-        resumed.set_shadows(&table);
-        resumed.read(n);
-        assert_eq!(diverged(&resumed), vec![0]);
     }
 
     #[test]
@@ -2109,5 +2102,71 @@ mod bridge_tests {
         pool.write(a, 0);
         pool.write(b, 1);
         assert_eq!(pool.read(a), 0b011);
+    }
+
+    /// What `evaluate_all` must return: every net's `read`, folded.
+    fn read_fold(pool: &NetPool<()>) -> u32 {
+        (0..pool.len() as u32).fold(0, |acc, i| acc.wrapping_add(pool.read(NetId(i))))
+    }
+
+    #[test]
+    fn evaluate_all_folds_what_every_read_returns() {
+        fn at_cycle_2(net: NetId, bit: u8, kind: FaultKind) -> Fault {
+            Fault {
+                net,
+                bit,
+                kind,
+                from_cycle: 2,
+            }
+        }
+        const INTERMITTENT: FaultKind = FaultKind::IntermittentStuck {
+            level: true,
+            period: 4,
+            duty: 2,
+            phase: 0,
+        };
+        type Inject = fn(&mut NetPool<()>, NetId, NetId);
+        // Each case injects at cycle 2 and is checked at cycles 0 to 5,
+        // with its nets rewritten at cycle 3: before activation, while an
+        // open line holds, after a flip lands, while an intermittent fault
+        // is asserted (cycles 2, 3) and released (4, 5).
+        let cases: [Inject; 6] = [
+            |pool, a, _| pool.inject(at_cycle_2(a, 1, FaultKind::StuckAt1)),
+            |pool, a, _| pool.inject(at_cycle_2(a, 0, FaultKind::OpenLine)),
+            |pool, _, b| pool.inject(at_cycle_2(b, 3, FaultKind::TransientFlip)),
+            |pool, _, b| pool.inject(at_cycle_2(b, 2, INTERMITTENT)),
+            |pool, a, _| {
+                pool.inject(at_cycle_2(a, 0, FaultKind::StuckAt0));
+                pool.inject(at_cycle_2(a, 3, FaultKind::StuckAt1));
+            },
+            |pool, a, b| {
+                pool.inject_bridge(Bridge {
+                    a: (a, 2),
+                    b: (b, 1),
+                    kind: BridgeKind::WiredOr,
+                    from_cycle: 2,
+                });
+            },
+        ];
+        for (case, inject) in cases.iter().enumerate() {
+            let (mut pool, a, b) = pool_with_two();
+            pool.net("untouched", 8, ());
+            pool.write(a, 0b0101);
+            pool.write(b, 0b0010);
+            pool.write(NetId(2), 0xa5);
+            inject(&mut pool, a, b);
+            for cycle in 0..6 {
+                if cycle == 3 {
+                    pool.write(a, 0b1010);
+                    pool.write(b, 0b0110);
+                }
+                assert_eq!(
+                    pool.evaluate_all(),
+                    read_fold(&pool),
+                    "case {case} at cycle {cycle}"
+                );
+                pool.tick();
+            }
+        }
     }
 }
